@@ -12,13 +12,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .adjustment import ComplexEnergy, adjusted_energy_consistent, adjusted_energy_paper, expand_product
-from .recoil import GENERATOR, momentum_samples, recoil_stats
+from .recoil import momentum_samples, recoil_stats
 from .spectral import (
     SampledWaveform,
     Spectrum,
@@ -56,11 +57,19 @@ def _write(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _require_finite(results: dict) -> None:
+    bad = [k for k, v in sorted(results.items()) if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise RunError(f"non-finite result: {', '.join(bad)}")
+
+
 def _emit_json(config: dict, results: dict, output: str | None) -> None:
+    _require_finite(results)
     _write(json.dumps({"config": config, "results": results}, indent=2, sort_keys=True) + "\n", output)
 
 
 def _emit_row_csv(config: dict, results: dict, output: str | None) -> None:
+    _require_finite(results)
     buf = io.StringIO()
     for key, value in sorted(config.items()):
         buf.write(f"# {key} = {_fmt(value)}\n")
@@ -153,6 +162,7 @@ def cmd_spectrum(args) -> int:
         results["intensity"] = [float(v) for v in spec.intensity]
         _emit_json(config, results, args.output)
     else:
+        _require_finite(summary)
         buf = io.StringIO()
         for key, value in sorted(config.items()):
             buf.write(f"# {key} = {_fmt(value)}\n")
@@ -316,6 +326,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"--{name.replace('_', '-')} must be finite")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,8 @@ __all__ = [
 # Intensity (relative to peak) below which a sample counts as a spectral null.
 _ZERO_LEVEL = 1e-6
 
-# Frequency-block size for the quadrature loop; bounds the omega x t work array.
+# Frequency-block size for the direct quadrature loop; bounds the omega x t
+# work array.
 _CHUNK = 512
 
 
@@ -107,16 +108,78 @@ def fourier_intensity(waveform: SampledWaveform, omega_grid) -> Spectrum:
 
     Integrates on the caller's time grid (no resampling), so the quadrature
     error is controlled by the caller's sampling density.
+
+    When both the time grid and the omega grid are equally spaced to within
+    a few ulps (as ``np.linspace`` output is), the trapezoid sum is a chirp-z
+    transform and is evaluated in O((N+M) log(N+M)) by Bluestein's FFT
+    convolution; tests gate it against the direct quadrature at 1e-12 of the
+    peak.  Non-uniform grids keep the direct O(N*M) quadrature.
     """
     og = np.asarray(omega_grid, dtype=float)
     _check_grid(og, "omega grid")
+    if _uniform(waveform.t) and _uniform(og):
+        intensity = _chirp_z_intensity(waveform.amp, waveform.t, og)
+    else:
+        intensity = _direct_intensity(waveform.amp, waveform.t, og)
+    return Spectrum(og, intensity)
+
+
+# Deviation from an exactly uniform grid, in units of eps * max|x|, below which
+# a grid counts as uniform.  np.linspace output deviates by up to ~2.  Treating
+# such grids as uniform moves each phase omega*t by a few times
+# _UNIFORM_ULPS * eps * max|omega| * max|t|: a small multiple of the rounding
+# the direct quadrature makes when it forms omega*t, and under 1e-12 rad while
+# max|omega| * max|t| < 1e3.
+_UNIFORM_ULPS = 4.0
+
+
+def _uniform(x: np.ndarray) -> bool:
+    """True when the strictly increasing grid x is equally spaced to a few ulps."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    tol = _UNIFORM_ULPS * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+    return bool(np.max(np.abs(x - (x[0] + np.arange(x.size) * h))) <= tol)
+
+
+def _direct_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """Reference path: the trapezoid sum for every omega, in blocks of _CHUNK."""
     intensity = np.empty(og.size)
     for start in range(0, og.size, _CHUNK):
         block = og[start:start + _CHUNK]
-        integrand = waveform.amp * np.exp(-1j * np.outer(block, waveform.t))
-        f = np.trapezoid(integrand, waveform.t, axis=1)
+        integrand = amp * np.exp(-1j * np.outer(block, t))
+        f = np.trapezoid(integrand, t, axis=1)
         intensity[start:start + _CHUNK] = f.real ** 2 + f.imag ** 2
-    return Spectrum(og, intensity)
+    return intensity
+
+
+def _chirp_z_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """The trapezoid sum on uniform grids as one Bluestein FFT convolution.
+
+    With t_k = t0 + k*h and omega_m = w0 + m*d, the phase omega_m*t_k is
+    w0*t0 + w0*(t_k - t0) + m*d*t0 + a*m*k with a = d*h.  The terms in m alone
+    are unit-modulus factors that drop out of |F|^2, and
+    m*k = (m^2 + k^2 - (m-k)^2)/2 turns the sum over k into a convolution
+    with the chirp exp(i*a*j^2/2).
+
+    The chirp phase reaches a*max(N,M)^2/2, about the omega span times the t
+    span times max(N,M)/(2*min(N,M)), and its rounding sets the error against
+    the direct sum: ~1e-15 of peak at 4096 x 20001, ~1e-10 at 8 x 2000001,
+    both far below the trapezoid rule's own error on such grids.
+    """
+    n, m = t.size, og.size
+    h = (t[-1] - t[0]) / (n - 1)
+    a = (og[-1] - og[0]) / (m - 1) * h
+    j = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * a * j * j)
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    x = w * amp * np.exp(-1j * og[0] * (t - t[0])) * chirp[:n].conj()
+    size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
+    c = np.zeros(size, dtype=complex)
+    c[:m] = chirp[:m]
+    c[size - n + 1:] = chirp[n - 1:0:-1]  # chirp at j = -(n-1) .. -1
+    # numpy loads np.fft on first access, so importing pulselab does not pay for it.
+    f = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(c))[:m]
+    return f.real ** 2 + f.imag ** 2
 
 
 def first_zero_halfwidth(pulse: Pulse) -> float:

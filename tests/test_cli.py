@@ -63,6 +63,14 @@ class TestSpectrum:
     def test_missing_pulse_flags(self, capsys):
         assert main(["spectrum", "--omega-min", "4", "--omega-max", "16", "--points", "10"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--omega-max", "inf"), ("--omega-min", "nan")])
+    def test_non_finite_flag_is_usage_error(self, capsys, flag, value):
+        argv = ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
+                "--omega-min", "4", "--omega-max", "16", "--points", "10"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be finite\n"
+
     def test_unreadable_input(self, capsys, tmp_path):
         assert main(["spectrum", "--input", str(tmp_path / "missing.csv"),
                      "--omega-min", "4", "--omega-max", "16", "--points", "10"]) == 1
@@ -133,6 +141,18 @@ class TestAdjust:
     def test_zero_energy(self, capsys):
         assert main(["adjust", "--e", "0", "--de", "1", "--t", "1"]) == 1
         assert "E = 0" in capsys.readouterr().err
+
+    def test_non_finite_energy_is_usage_error(self, capsys):
+        assert main(["adjust", "--e", "nan", "--de", "1", "--t", "1"]) == 2
+        assert capsys.readouterr().err == "error: --e must be finite\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_runtime_error(self, capsys, fmt):
+        assert main(["adjust", "--e", "1e-320", "--de", "1", "--t", "1", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite result: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestRecoil:

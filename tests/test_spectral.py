@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import pulselab
 from pulselab import (
     MomentReport,
     Pulse,
@@ -18,6 +23,7 @@ from pulselab import (
     sample_waveform,
     uncertainty_product,
 )
+from pulselab.spectral import _direct_intensity, _uniform
 
 
 def rect_waveform(a0, omega0, tau, n=4096):
@@ -86,6 +92,70 @@ class TestFourierIntensity:
             fourier_intensity(wf, np.array([1.0]))
         with pytest.raises(ValueError):
             fourier_intensity(wf, np.array([1.0, 0.5]))
+
+
+# The chirp-z path must match the direct quadrature to this fraction of the peak.
+CHIRP_Z_GATE = 1e-12
+
+
+def carrier_waveform(n, t0=0.0, omega0=10.0, tau=2.0):
+    """Rectangular pulse on [t0, t0 + tau] sampled on a linspace grid."""
+    t = np.linspace(t0, t0 + tau, n)
+    return SampledWaveform(t, 1.3 * np.exp(1j * omega0 * t))
+
+
+class TestChirpZGate:
+    @pytest.mark.parametrize("n,m,t0,halfwidths,stride", [
+        (2048, 1001, 0.0, 2.5, 1),  # the benchmark's spectrum-sampled shape
+        (20000, 4001, 0.0, 2.5, 8),
+        (4096, 20001, 0.0, 2.5, 20),
+        (2048, 1001, 100.0, 2.5, 1),  # time grid far from the origin
+        (2, 2, 0.0, 0.1, 1),
+        (3, 7, 0.0, 0.5, 1),
+    ])
+    def test_matches_direct(self, n, m, t0, halfwidths, stride):
+        # The direct reference runs on every stride-th omega (the peak included)
+        # to keep the largest shapes fast; the chirp-z path sees the full grid.
+        wf = carrier_waveform(n, t0)
+        half = halfwidths * np.pi  # first-null half-width 2*pi/tau, tau = 2
+        omega = np.linspace(10.0 - half, 10.0 + half, m)
+        assert _uniform(wf.t) and _uniform(omega)
+        fast = fourier_intensity(wf, omega).intensity[::stride]
+        ref = _direct_intensity(wf.amp, wf.t, omega[::stride])
+        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
+
+    def test_linspace_spacing_noise_takes_fast_path(self):
+        t = np.linspace(0.1, 3.8, 2048)
+        assert np.ptp(np.diff(t)) > 0.0  # spacing varies at the ulp level
+        wf = SampledWaveform(t, np.exp(23.0j * t))
+        # deviates from exact uniformity by 1.9 eps * max|omega|, the most
+        # found in a random search over linspace grids
+        omega = np.linspace(-59.6, 67.6, 1001)
+        assert _uniform(t) and _uniform(omega)
+        ref = _direct_intensity(wf.amp, t, omega)
+        fast = fourier_intensity(wf, omega).intensity
+        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
+
+    def test_non_uniform_grids_take_direct_path(self):
+        rng = np.random.default_rng(3)
+        wf = carrier_waveform(512)
+        h = wf.t[1] - wf.t[0]
+        t = wf.t.copy()
+        t[1:-1] += rng.uniform(-0.3, 0.3, t.size - 2) * h
+        jittered = SampledWaveform(t, wf.amp)
+        omega = np.linspace(6.0, 14.0, 201)
+        stretched = 10.0 + 4.0 * np.sinh(np.linspace(-1.0, 1.0, 201)) / np.sinh(1.0)
+        assert not _uniform(t) and not _uniform(stretched)
+        for wave, grid in ((jittered, omega), (wf, stretched)):
+            np.testing.assert_array_equal(fourier_intensity(wave, grid).intensity,
+                                          _direct_intensity(wave.amp, wave.t, grid))
+
+    def test_import_does_not_load_numpy_fft(self):
+        src = os.path.dirname(os.path.dirname(pulselab.__file__))
+        code = "import sys, pulselab, pulselab.cli; print('numpy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestWidths:
