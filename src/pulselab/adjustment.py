@@ -26,6 +26,7 @@ __all__ = [
     "solve_imag_zero",
     "adjusted_energy_consistent",
     "adjusted_energy_paper",
+    "paper_offset",
     "expand_product",
     "lifetime_width",
 ]
@@ -196,6 +197,17 @@ def adjusted_energy_paper(ce: ComplexEnergy) -> float:
     if ce.e == 0.0:
         raise ZeroDivisionError("adjustment undefined for E = 0")
     return ce.e - (ce.de * ce.de) / ce.e
+
+
+def paper_offset(ce: ComplexEnergy, t: float) -> float:
+    """The unsigned continuation offset de*t/e of the published adjustment.
+
+    It has the opposite sign of adjusted_energy_consistent's zeta, so
+    expand_product(ce, t, paper_offset(ce, t)).im is 2*de*t, not 0.
+    """
+    if ce.e == 0.0:
+        raise ZeroDivisionError("adjustment undefined for E = 0")
+    return ce.de * t / ce.e
 
 
 def lifetime_width(tau_life: float, hbar: float = 1.0) -> float:

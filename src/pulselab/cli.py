@@ -2,8 +2,10 @@
 
 Every JSON output carries the full effective configuration under a
 ``config`` key, so a run can be reproduced byte-for-byte from its own
-output.  CSV output carries the same numbers formatted with 17 significant
-digits.  Exit codes: 0 success, 1 runtime/domain error, 2 usage error.
+output.  JSON floats are written as the shortest text that reads back as the
+same double (``float.__repr__``, as ``json`` writes them); CSV carries the
+same numbers as ``%.17g``.  Exit codes: 0 success, 1 runtime/domain error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -14,12 +16,19 @@ import io
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
-from .adjustment import ComplexEnergy, adjusted_energy_consistent, adjusted_energy_paper, expand_product
-from .recoil import momentum_samples, recoil_stats
+from .adjustment import (
+    ComplexEnergy,
+    adjusted_energy_consistent,
+    adjusted_energy_paper,
+    expand_product,
+    paper_offset,
+)
+from .recoil import recoil_stats, stats_and_samples
 from .spectral import (
     SampledWaveform,
     Spectrum,
@@ -43,18 +52,25 @@ class RunError(Exception):
     """Runtime/domain failure (bad input file, undefined operation); exit code 1."""
 
 
+# Table rows (or JSON array items) formatted per call: output is written in
+# blocks this size, so the transient lists and strings of one block bound the
+# memory emit adds, however long the table.
+_BLOCK_ROWS = 1 << 12
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(chunks, output: str | None) -> None:
+    """Write text chunks in order to ``output``, or to stdout when it is None."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _require_finite(results: dict) -> None:
@@ -63,21 +79,65 @@ def _require_finite(results: dict) -> None:
         raise RunError(f"non-finite result: {', '.join(bad)}")
 
 
+def _holds_array(value) -> bool:
+    return isinstance(value, np.ndarray) or isinstance(value, dict) and any(map(_holds_array, value.values()))
+
+
+def _json_chunks(value, indent: str = ""):
+    """Chunks of ``json.dumps(value, indent=2, sort_keys=True)`` nested at
+    ``indent``, where non-empty 1-D numpy arrays may stand in for lists.
+
+    An array is written as a JSON array of its elements' ``repr``, which is
+    the text json gives a float, joined in blocks instead of through json's
+    pure-Python per-item encoder (json uses its C encoder only without indent).
+    Everything that holds no array goes to json itself.
+    """
+    sep = ",\n" + indent + "  "
+    if isinstance(value, np.ndarray):
+        yield "["
+        for start in range(0, len(value), _BLOCK_ROWS):
+            yield (sep if start else sep[1:]) + sep.join(map(repr, value[start:start + _BLOCK_ROWS].tolist()))
+        yield "\n" + indent + "]"
+    elif isinstance(value, dict) and _holds_array(value):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield (sep if i else sep[1:]) + json.dumps(key) + ": "
+            yield from _json_chunks(value[key], indent + "  ")
+        yield "\n" + indent + "}"
+    else:
+        # json escapes newlines inside strings, so every raw one starts a line.
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _header(*sections: dict) -> str:
+    """``# key = value`` lines, each section sorted by key."""
+    return "".join(f"# {key} = {_fmt(value)}\n" for section in sections for key, value in sorted(section.items()))
+
+
+def _csv_table(columns: str, table: np.ndarray):
+    """Chunks of a CSV table: the ``columns`` line, then one ``%.17g`` row per row
+    of the 2-D float array; ``"%.17g" % x`` is the text ``_fmt(x)`` gives."""
+    yield columns + "\n"
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        yield row * len(block) % tuple(block.ravel().tolist())
+
+
 def _emit_json(config: dict, results: dict, output: str | None) -> None:
     _require_finite(results)
-    _write(json.dumps({"config": config, "results": results}, indent=2, sort_keys=True) + "\n", output)
+    _write(chain(_json_chunks({"config": config, "results": results}), ["\n"]), output)
 
 
 def _emit_row_csv(config: dict, results: dict, output: str | None) -> None:
     _require_finite(results)
     buf = io.StringIO()
-    for key, value in sorted(config.items()):
-        buf.write(f"# {key} = {_fmt(value)}\n")
+    buf.write(_header(config))
     scalars = {k: v for k, v in results.items() if not isinstance(v, (list, dict))}
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(sorted(scalars))
     writer.writerow([_fmt(scalars[k]) for k in sorted(scalars)])
-    _write(buf.getvalue(), output)
+    _write([buf.getvalue()], output)
 
 
 def _read_waveform(path: str) -> SampledWaveform:
@@ -157,21 +217,11 @@ def cmd_spectrum(args) -> int:
             "time_bandwidth_product": half * pulse.tau,
         }
     if args.format == "json":
-        results = dict(summary)
-        results["omega"] = [float(w) for w in spec.omega]
-        results["intensity"] = [float(v) for v in spec.intensity]
-        _emit_json(config, results, args.output)
+        _emit_json(config, {**summary, "omega": spec.omega, "intensity": spec.intensity}, args.output)
     else:
         _require_finite(summary)
-        buf = io.StringIO()
-        for key, value in sorted(config.items()):
-            buf.write(f"# {key} = {_fmt(value)}\n")
-        for key, value in sorted(summary.items()):
-            buf.write(f"# {key} = {_fmt(value)}\n")
-        buf.write("omega,intensity\n")
-        for w, v in zip(spec.omega, spec.intensity):
-            buf.write(f"{_fmt(float(w))},{_fmt(float(v))}\n")
-        _write(buf.getvalue(), args.output)
+        table = _csv_table("omega,intensity", np.column_stack((spec.omega, spec.intensity)))
+        _write(chain([_header(config, summary)], table), args.output)
     return 0
 
 
@@ -221,7 +271,7 @@ def cmd_adjust(args) -> int:
     }
     results: dict = {}
     if args.mode in ("paper", "both"):
-        zeta_paper = args.de * args.t / args.e  # unsigned offset, as published
+        zeta_paper = paper_offset(ce, args.t)
         results["paper_value"] = adjusted_energy_paper(ce)
         results["zeta_paper"] = zeta_paper
         results["residual_im_paper"] = expand_product(ce, args.t, zeta_paper).im
@@ -239,7 +289,10 @@ def cmd_adjust(args) -> int:
 
 def cmd_recoil(args) -> int:
     try:
-        stats = recoil_stats(args.k, args.n, args.seed)
+        if args.dump is None:
+            stats, samples = recoil_stats(args.k, args.n, args.seed), None
+        else:
+            stats, samples = stats_and_samples(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     config = {
@@ -259,13 +312,8 @@ def cmd_recoil(args) -> int:
         "seed": stats.seed,
         "generator": stats.generator,
     }
-    if args.dump is not None:
-        samples = momentum_samples(args.k, args.n, args.seed)
-        buf = io.StringIO()
-        buf.write("kx,ky,kz\n")
-        for kx, ky, kz in samples:
-            buf.write(f"{_fmt(float(kx))},{_fmt(float(ky))},{_fmt(float(kz))}\n")
-        _write(buf.getvalue(), args.dump)
+    if samples is not None:
+        _write(_csv_table("kx,ky,kz", samples), args.dump)
     if args.format == "json":
         _emit_json(config, results, args.output)
     else:

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Direction", "RecoilStats", "sample_direction", "momentum_samples", "recoil_stats"]
+__all__ = [
+    "Direction",
+    "RecoilStats",
+    "sample_direction",
+    "momentum_samples",
+    "recoil_stats",
+    "stats_and_samples",
+]
 
 GENERATOR = "numpy.random.Generator(PCG64)"
 
@@ -68,12 +75,21 @@ def sample_direction(rng: np.random.Generator) -> Direction:
     return Direction(sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t)
 
 
+def _momenta(k: float, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    return k * np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+
+
+def _stats(k: float, n: int, seed: int, cos_t: np.ndarray) -> RecoilStats:
+    mean_kz = k * float(np.mean(cos_t))
+    std_kz = k * float(np.std(cos_t, ddof=1)) if n > 1 else 0.0
+    return RecoilStats(n=n, k=k, mean_kz=mean_kz, std_kz=std_kz, seed=seed)
+
+
 def momentum_samples(k: float, n: int, seed: int) -> np.ndarray:
     """(n, 3) array of recoil momenta k * direction; |row| = k per sample."""
     _check_args(k, n)
-    cos_t, phi = _draw_angles(np.random.default_rng(seed), n)
-    sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    return k * np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+    return _momenta(k, *_draw_angles(np.random.default_rng(seed), n))
 
 
 def recoil_stats(k: float, n: int, seed: int) -> RecoilStats:
@@ -84,6 +100,11 @@ def recoil_stats(k: float, n: int, seed: int) -> RecoilStats:
     """
     _check_args(k, n)
     cos_t, _ = _draw_angles(np.random.default_rng(seed), n)
-    mean_kz = k * float(np.mean(cos_t))
-    std_kz = k * float(np.std(cos_t, ddof=1)) if n > 1 else 0.0
-    return RecoilStats(n=n, k=k, mean_kz=mean_kz, std_kz=std_kz, seed=seed)
+    return _stats(k, n, seed, cos_t)
+
+
+def stats_and_samples(k: float, n: int, seed: int) -> tuple[RecoilStats, np.ndarray]:
+    """``(recoil_stats(k, n, seed), momentum_samples(k, n, seed))`` from one draw."""
+    _check_args(k, n)
+    cos_t, phi = _draw_angles(np.random.default_rng(seed), n)
+    return _stats(k, n, seed, cos_t), _momenta(k, cos_t, phi)

@@ -12,6 +12,7 @@ from pulselab import (
     adjusted_energy_paper,
     expand_product,
     lifetime_width,
+    paper_offset,
     solve_imag_zero,
 )
 
@@ -143,7 +144,17 @@ class TestClosedForms:
         adj = adjusted_energy_consistent(ComplexEnergy(e, 0.0), t)
         assert adj.zeta == 0.0 and adj.value == e * t
 
+    @pytest.mark.parametrize("e,de,t", [(2.0, 1.0, 1.0), (3.0, 0.0, 2.0), (-4.0, 0.7, 0.3)])
+    def test_paper_offset(self, e, de, t):
+        ce = ComplexEnergy(e, de)
+        zeta = paper_offset(ce, t)
+        assert zeta == de * t / e
+        assert zeta == -adjusted_energy_consistent(ce, t).zeta
+        assert expand_product(ce, t, zeta).im == pytest.approx(2.0 * de * t, abs=1e-15)
+
     def test_zero_energy_errors(self):
+        with pytest.raises(ZeroDivisionError):
+            paper_offset(ComplexEnergy(0.0, 1.0), 1.0)
         with pytest.raises(ZeroDivisionError):
             adjusted_energy_paper(ComplexEnergy(0.0, 1.0))
         with pytest.raises(ZeroDivisionError):

@@ -1,10 +1,25 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pulselab import Pulse, sample_waveform
+import pulselab.cli
+import pulselab.recoil
+from pulselab import (
+    Pulse,
+    SampledWaveform,
+    analytic_intensity,
+    fourier_intensity,
+    momentum_samples,
+    recoil_stats,
+    sample_waveform,
+)
 from pulselab.cli import main
 
 
@@ -20,7 +35,8 @@ def rebuild_argv(config):
     for key, value in config.items():
         if key == "command" or value is None:
             continue
-        argv += [f"--{key.replace('_', '-')}", str(value)]
+        # --flag=value: argparse takes "-1e-05" after a bare flag for an option
+        argv.append(f"--{key.replace('_', '-')}={value}")
     return argv
 
 
@@ -206,3 +222,158 @@ class TestReproducibility:
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
+
+
+# The emitters write arrays and tables by vectorised formatting; these tests
+# hold their bytes to the per-value reference the CLI used before: json.dumps
+# with indent=2 and sort_keys=True, and format(v, ".17g") row by row.
+
+def reference_json(doc, arrays):
+    """json.dumps of the document with its arrays replaced by ``arrays``."""
+    results = {**doc["results"], **{k: v.tolist() for k, v in arrays.items()}}
+    return json.dumps({"config": doc["config"], "results": results}, indent=2, sort_keys=True) + "\n"
+
+
+def reference_value(value):
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def reference_table(columns, table):
+    lines = [columns] + [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_spectrum_csv(config, summary, omega, intensity):
+    header = [f"# {k} = {reference_value(v)}\n" for section in (config, summary) for k, v in sorted(section.items())]
+    return "".join(header) + reference_table("omega,intensity", np.column_stack((omega, intensity)))
+
+
+def run_text(argv):
+    """Exit code and stdout of one CLI run, without a pytest fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def analytic_argv(a0, omega0, tau, omega_min, omega_max, points):
+    return ["spectrum", f"--a0={a0!r}", f"--omega0={omega0!r}", f"--tau={tau!r}",
+            f"--omega-min={omega_min!r}", f"--omega-max={omega_max!r}", f"--points={points}"]
+
+
+class TestEmitGate:
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    def test_json_chunks_match_json_dumps(self, monkeypatch, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", block_rows)
+        value = {"b": {"z": None, "a": "x\ny", "l": [1.5, {"q": []}]}, "e": {}, "c": 3, "d": True,
+                 "a": np.array([-0.0, 1e-320, 1e16, 0.1, 2.5, -3e-7, 7.0]),
+                 "g": {"h": np.array([1.0, 2.0]), "i": {"j": "k"}}}
+        plain = {**value, "a": value["a"].tolist(), "g": {"h": [1.0, 2.0], "i": {"j": "k"}}}
+        text = "".join(pulselab.cli._json_chunks(value))
+        assert text == json.dumps(plain, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("a0,omega0,tau,omega_min,omega_max,points,marker", [
+        # exact-zero nulls at every point but the peak
+        (1.0, 10.0, 2.0, 10.0 - 3.0 * math.pi, 10.0 + 3.0 * math.pi, 7, "0.0,"),
+        # a0^2 * tau^2 = 4e-320: every intensity is subnormal
+        (1e-160, 10.0, 2.0, 4.0, 16.0, 101, "e-320"),
+        # repr writes 1e16 and above with an exponent
+        (1e9, 10.0, 2.0, 1e15, 3e16, 11, "3e+16"),
+        (1.0, 10.0, 2.0, 4.0, 16.0, 2, None),
+        (1.5, 20.0, 3.0, 0.5, 40.0, 50000, None),
+    ])
+    def test_analytic_spectrum_bytes(self, tmp_path, a0, omega0, tau, omega_min, omega_max, points, marker):
+        argv = analytic_argv(a0, omega0, tau, omega_min, omega_max, points)
+        # An output name that reads like the array text the emitter joins.
+        out_json = tmp_path / 'x",\n      "omega": [\n      1.0,'
+        out_csv = tmp_path / "spec.csv"
+        assert main(argv + ["--output", str(out_json)]) == 0
+        assert main(argv + ["--format", "csv", "--output", str(out_csv)]) == 0
+        text = out_json.read_text()
+        doc = json.loads(text)
+        omega = np.linspace(omega_min, omega_max, points)
+        intensity = analytic_intensity(Pulse(a0, omega0, tau), omega)
+        assert text == reference_json(doc, {"omega": omega, "intensity": intensity})
+        if marker is not None:
+            assert marker in text.replace("\n", "").replace(" ", "")
+        summary = {k: v for k, v in doc["results"].items() if not isinstance(v, list)}
+        config = {**doc["config"], "format": "csv", "output": str(out_csv)}
+        assert out_csv.read_text() == reference_spectrum_csv(config, summary, omega, intensity)
+
+    def test_sampled_spectrum_bytes(self, tmp_path):
+        t = np.linspace(0.0, 2.0, 2048)
+        amp = sample_waveform(Pulse(1.0, 10.0, 2.0), t)
+        wave = tmp_path / "[1.0, 2.0].csv"
+        with open(wave, "w", newline="") as fh:
+            fh.write("t,re,im\n")
+            for ti, ai in zip(t.tolist(), amp.tolist()):
+                fh.write(f"{ti!r},{ai.real!r},{ai.imag!r}\n")
+        # Nulls at 10 +- pi fall on grid points, as the width search needs.
+        omega = np.linspace(10.0 - 2.5 * math.pi, 10.0 + 2.5 * math.pi, 1001)
+        argv = ["spectrum", "--input", str(wave), f"--omega-min={float(omega[0])!r}",
+                f"--omega-max={float(omega[-1])!r}",
+                "--points", "1001"]
+        code, text = run_text(argv)
+        assert code == 0
+        spec = fourier_intensity(SampledWaveform(t, amp), omega)
+        assert text == reference_json(json.loads(text), {"omega": spec.omega, "intensity": spec.intensity})
+
+    @pytest.mark.parametrize("n,block_rows", [(3, None), (50000, None), (10, 3)])
+    def test_recoil_dump_bytes(self, tmp_path, monkeypatch, n, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", block_rows)
+        dump = tmp_path / "dump.csv"
+        code, text = run_text(["recoil", "--k", "2.5", "--n", str(n), "--seed", "11", "--dump", str(dump)])
+        assert code == 0
+        assert dump.read_text() == reference_table("kx,ky,kz", momentum_samples(2.5, n, 11))
+        stats = recoil_stats(2.5, n, 11)
+        assert json.loads(text)["results"] == {
+            "n": n, "k": 2.5, "mean_kz": stats.mean_kz, "std_kz": stats.std_kz,
+            "seed": 11, "generator": stats.generator}
+
+    def test_dump_draws_once(self, tmp_path, monkeypatch):
+        calls = []
+        draw = pulselab.recoil._draw_angles
+
+        def counting(rng, n):
+            calls.append(n)
+            return draw(rng, n)
+
+        monkeypatch.setattr(pulselab.recoil, "_draw_angles", counting)
+        assert run_text(["recoil", "--k", "1", "--n", "100", "--dump", str(tmp_path / "d.csv")])[0] == 0
+        assert calls == [100]
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def analytic_configs(draw):
+    omega0 = draw(st.floats(0.1, 100.0, **finite))
+    low = draw(st.floats(-200.0, 200.0, **finite))
+    span = draw(st.floats(1e-3, 400.0, **finite))
+    return (draw(st.floats(1e-3, 1e3, **finite)), omega0, draw(st.floats(1e-2, 100.0, **finite)),
+            low, low + span, draw(st.integers(2, 300)))
+
+
+class TestEmitProperties:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(analytic_configs())
+    def test_csv_and_json_agree_and_config_reproduces(self, cfg):
+        argv = analytic_argv(*cfg)
+        code, text = run_text(argv)
+        assert code == 0
+        doc = json.loads(text)
+        # Re-running the document's own config reproduces it byte for byte.
+        assert run_text(rebuild_argv(doc["config"])) == (0, text)
+        code, csv_text = run_text(argv + ["--format", "csv"])
+        assert code == 0
+        lines = csv_text.splitlines()
+        header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+        for key, value in doc["results"].items():
+            if not isinstance(value, list):
+                assert float(header[key]) == value
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[lines.index("omega,intensity") + 1:]])
+        assert rows[:, 0].tolist() == doc["results"]["omega"]
+        assert rows[:, 1].tolist() == doc["results"]["intensity"]

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from pulselab import Direction, RecoilStats, momentum_samples, recoil_stats, sample_direction
+from pulselab import (
+    Direction,
+    RecoilStats,
+    momentum_samples,
+    recoil_stats,
+    sample_direction,
+    stats_and_samples,
+)
 
 
 class TestDirection:
@@ -97,3 +104,13 @@ class TestRecoilStats:
             recoil_stats(k, n, seed=0)
         with pytest.raises(ValueError):
             momentum_samples(k, n, seed=0)
+        with pytest.raises(ValueError):
+            stats_and_samples(k, n, seed=0)
+
+
+class TestStatsAndSamples:
+    @pytest.mark.parametrize("k,n,seed", [(1.0, 1, 13), (2.5, 3, 0), (1.3, 10 ** 4, 21)])
+    def test_equals_separate_draws(self, k, n, seed):
+        stats, samples = stats_and_samples(k, n, seed)
+        assert stats == recoil_stats(k, n, seed)
+        np.testing.assert_array_equal(samples, momentum_samples(k, n, seed))
