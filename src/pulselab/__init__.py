@@ -17,11 +17,9 @@ from .adjustment import (
     solve_imag_zero,
 )
 from .recoil import (
-    Direction,
     RecoilStats,
     momentum_samples,
     recoil_stats,
-    sample_direction,
     stats_and_samples,
 )
 from .spectral import (
@@ -46,7 +44,6 @@ __all__ = [
     "AdjustmentResult",
     "ComplexEnergy",
     "ComplexObservable",
-    "Direction",
     "EnergyAdjustment",
     "EvaluationFailure",
     "MomentReport",
@@ -73,7 +70,6 @@ __all__ = [
     "peak_intensity",
     "rectangular_fwhm",
     "recoil_stats",
-    "sample_direction",
     "sample_waveform",
     "solve_imag_zero",
     "stats_and_samples",

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from itertools import chain
 
@@ -164,7 +165,12 @@ def _omega_grid(args) -> np.ndarray:
         raise UsageError("--points must be at least 2")
     if not args.omega_min < args.omega_max:
         raise UsageError("--omega-min must be below --omega-max")
-    return np.linspace(args.omega_min, args.omega_max, args.points)
+    if not math.isfinite(args.omega_max - args.omega_min):
+        raise UsageError("--omega-max minus --omega-min overflows")
+    grid = np.linspace(args.omega_min, args.omega_max, args.points)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise UsageError("--points too many: the omega grid is not strictly increasing")
+    return grid
 
 
 def cmd_spectrum(args) -> int:
@@ -183,7 +189,12 @@ def cmd_spectrum(args) -> int:
     }
     if args.input is not None:
         waveform = _read_waveform(args.input)
-        spec = fourier_intensity(waveform, grid)
+        try:
+            # Spectrum refuses what overflows, so numpy's warnings would only repeat it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                spec = fourier_intensity(waveform, grid)
+        except ValueError as exc:
+            raise RunError(str(exc)) from exc
         duration = float(waveform.t[-1] - waveform.t[0])
         i_peak = int(np.argmax(spec.intensity))
         try:
@@ -206,7 +217,10 @@ def cmd_spectrum(args) -> int:
             pulse = Pulse(args.a0, args.omega0, args.tau)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        spec = Spectrum(grid, analytic_intensity(pulse, grid))
+        try:
+            spec = Spectrum(grid, analytic_intensity(pulse, grid))
+        except ValueError as exc:
+            raise RunError(str(exc)) from exc
         half = first_zero_halfwidth(pulse)
         summary = {
             "peak_intensity": peak_intensity(pulse),
@@ -321,6 +335,12 @@ def cmd_recoil(args) -> int:
     return 0
 
 
+# argparse takes an argument that starts with "-" for an option unless it
+# matches this; its own pattern misses exponent forms such as "-1e-05", which
+# is how a document's config prints small negative values.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _add_io_flags(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
@@ -365,6 +385,8 @@ def _parser() -> argparse.ArgumentParser:
     _add_io_flags(rc)
     rc.set_defaults(func=cmd_recoil)
 
+    for p in (parser, sp, wd, ad, rc):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

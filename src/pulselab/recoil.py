@@ -14,34 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Direction",
     "RecoilStats",
-    "sample_direction",
     "momentum_samples",
     "recoil_stats",
     "stats_and_samples",
 ]
 
 GENERATOR = "numpy.random.Generator(PCG64)"
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit 3-vector on the z >= 0 hemisphere."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        norm2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        if self.z < 0.0:
-            raise ValueError("direction must lie on the forward hemisphere")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 @dataclass(frozen=True)
@@ -65,14 +44,6 @@ def _draw_angles(rng: np.random.Generator, n: int):
     cos_t = 1.0 - rng.random(n)  # uniform on (0, 1]: excludes the z = 0 rim
     phi = 2.0 * np.pi * rng.random(n)
     return cos_t, phi
-
-
-def sample_direction(rng: np.random.Generator) -> Direction:
-    """One direction uniform in solid angle over the forward hemisphere."""
-    cos_t, phi = _draw_angles(rng, 1)
-    cos_t, phi = cos_t[0], phi[0]
-    sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    return Direction(sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t)
 
 
 def _momenta(k: float, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:

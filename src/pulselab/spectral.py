@@ -10,6 +10,7 @@ for the same reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ __all__ = [
 # Intensity (relative to peak) below which a sample counts as a spectral null.
 _ZERO_LEVEL = 1e-6
 
-# Frequency-block size for the direct quadrature loop; bounds the omega x t
-# work array.
+# Frequency-block size for the direct quadrature loop, which only non-uniform
+# omega grids take; bounds the omega x t work array.
 _CHUNK = 512
 
 
@@ -109,18 +110,26 @@ def fourier_intensity(waveform: SampledWaveform, omega_grid) -> Spectrum:
     Integrates on the caller's time grid (no resampling), so the quadrature
     error is controlled by the caller's sampling density.
 
-    When both the time grid and the omega grid are equally spaced to within
-    a few ulps (as ``np.linspace`` output is), the trapezoid sum is a chirp-z
-    transform and is evaluated in O((N+M) log(N+M)) by Bluestein's FFT
-    convolution; tests gate it against the direct quadrature at 1e-12 of the
-    peak.  Non-uniform grids keep the direct O(N*M) quadrature.
+    The sum over N times for M frequencies takes one of three paths, chosen
+    from the grids; tests gate both fast paths against the direct quadrature
+    at 1e-12 of the peak:
+
+    - both grids equally spaced to within a few ulps (as ``np.linspace``
+      output is): a chirp-z transform, evaluated in O((N+M) log(N+M)) by
+      Bluestein's FFT convolution;
+    - an equally spaced omega grid with any time grid: angle addition over
+      blocks of ~sqrt(M) frequencies, 2*N*sqrt(M) complex exponentials and
+      one complex matrix product;
+    - any other omega grid: the direct O(N*M) quadrature.
     """
     og = np.asarray(omega_grid, dtype=float)
     _check_grid(og, "omega grid")
-    if _uniform(waveform.t) and _uniform(og):
+    if not _uniform(og):
+        intensity = _direct_intensity(waveform.amp, waveform.t, og)
+    elif _uniform(waveform.t):
         intensity = _chirp_z_intensity(waveform.amp, waveform.t, og)
     else:
-        intensity = _direct_intensity(waveform.amp, waveform.t, og)
+        intensity = _blocked_intensity(waveform.amp, waveform.t, og)
     return Spectrum(og, intensity)
 
 
@@ -149,6 +158,31 @@ def _direct_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndar
         f = np.trapezoid(integrand, t, axis=1)
         intensity[start:start + _CHUNK] = f.real ** 2 + f.imag ** 2
     return intensity
+
+
+def _blocked_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """The trapezoid sum on a uniform omega grid by angle addition.
+
+    With omega_m = w0 + (m1*B + m2)*d, B = ceil(sqrt(M)), and offsets
+    s = t - t[0] (a unit-modulus factor exp(-i*omega_m*t[0]) that drops out
+    of |F|^2), exp(-i*omega_m*s_k) = Y[m2, k] * exp(-i*(w0 + m1*B*d)*s_k)
+    with Y[m2, k] = exp(-i*m2*d*s_k), so F_m = (Y @ X)[m2, m1] where X holds
+    the weighted samples times the block-start phases.  Both tables have
+    ~N*sqrt(M) entries.
+    """
+    m = og.size
+    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
+    d = (og[-1] - og[0]) / (m - 1)
+    s = t - t[0]
+    dt = np.diff(t)
+    w = np.zeros(t.size)
+    w[:-1] += 0.5 * dt
+    w[1:] += 0.5 * dt
+    y = np.exp(-1j * np.outer(np.arange(b) * d, s))
+    starts = og[0] + np.arange(-(-m // b)) * (b * d)
+    x = (w * amp)[:, None] * np.exp(-1j * np.outer(s, starts))
+    f = (y @ x).T.ravel()[:m]
+    return f.real ** 2 + f.imag ** 2
 
 
 def _chirp_z_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:

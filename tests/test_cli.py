@@ -35,7 +35,8 @@ def rebuild_argv(config):
     for key, value in config.items():
         if key == "command" or value is None:
             continue
-        # --flag=value: argparse takes "-1e-05" after a bare flag for an option
+        # --flag=value; the bare form reads "-1e-05" as a value too
+        # (test_negative_exponent_after_bare_flag)
         argv.append(f"--{key.replace('_', '-')}={value}")
     return argv
 
@@ -86,6 +87,43 @@ class TestSpectrum:
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {flag} must be finite\n"
+
+    @pytest.mark.parametrize("omega_min,omega_max,points,message", [
+        ("-1e308", "1e308", "10", "--omega-max minus --omega-min overflows"),
+        ("1", "1.0000000000000002", "10", "--points too many: the omega grid is not strictly increasing"),
+    ], ids=["span-overflows", "repeated-points"])
+    def test_unrepresentable_grid_is_usage_error(self, capsys, omega_min, omega_max, points, message):
+        assert main(["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", f"--omega-min={omega_min}",
+                     "--omega-max", omega_max, "--points", points]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("jitter", [None, 0.0, 1e-3])
+    def test_intensity_overflow_is_runtime_error(self, capsys, tmp_path, jitter):
+        common = ["--omega-min", "5", "--omega-max", "15", "--points", "11"]
+        if jitter is None:
+            argv = ["spectrum", "--a0", "1e200", "--omega0", "10", "--tau", "2", *common]
+        else:  # a sampled waveform on a uniform (chirp-z) or jittered (blocked) grid
+            t = np.linspace(0.0, 2.0, 64)
+            t[1:-1] += jitter * np.sin(np.arange(62))
+            amp = 1e200 * np.exp(10j * t)
+            path = tmp_path / "loud.csv"
+            path.write_text("t,re,im\n" + "".join(
+                f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), amp.tolist())))
+            argv = ["spectrum", "--input", str(path), *common]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: intensities must be finite\n"
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-.5E+3", "-7E2"])
+    def test_negative_exponent_after_bare_flag(self, capsys, value):
+        code, doc = run_json(capsys, ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
+                                      "--omega-min", value, "--omega-max", "16", "--points", "11"])
+        assert code == 0
+        assert doc["config"]["omega_min"] == float(value)
+        code, doc = run_json(capsys, ["adjust", "--e", "2", "--de", value, "--t", "1"])
+        assert code == 0
+        assert doc["config"]["de"] == float(value)
 
     def test_unreadable_input(self, capsys, tmp_path):
         assert main(["spectrum", "--input", str(tmp_path / "missing.csv"),

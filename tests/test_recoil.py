@@ -2,48 +2,11 @@ import numpy as np
 import pytest
 
 from pulselab import (
-    Direction,
     RecoilStats,
     momentum_samples,
     recoil_stats,
-    sample_direction,
     stats_and_samples,
 )
-
-
-class TestDirection:
-    def test_unit_norm_required(self):
-        with pytest.raises(ValueError):
-            Direction(1.0, 1.0, 1.0)
-
-    def test_forward_hemisphere_required(self):
-        with pytest.raises(ValueError):
-            Direction(0.0, 0.0, -1.0)
-
-    def test_as_array(self):
-        d = Direction(0.0, 0.0, 1.0)
-        np.testing.assert_array_equal(d.as_array(), [0.0, 0.0, 1.0])
-
-
-class TestSampleDirection:
-    def test_construction_invariants(self):
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            d = sample_direction(rng)
-            assert 0.0 < d.z <= 1.0
-            assert abs(d.x ** 2 + d.y ** 2 + d.z ** 2 - 1.0) <= 1e-12
-
-    def test_deterministic(self):
-        d1 = sample_direction(np.random.default_rng(42))
-        d2 = sample_direction(np.random.default_rng(42))
-        assert d1 == d2
-
-    def test_mean_axial_component(self):
-        rng = np.random.default_rng(2)
-        n = 10 ** 6
-        cos_t = 1.0 - rng.random(n)  # same distribution the sampler draws from
-        # <cos theta> over a uniform hemisphere is 1/2; std of U(0,1) is 1/sqrt(12)
-        assert abs(cos_t.mean() - 0.5) <= 3.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(n)
 
 
 class TestMomentumSamples:
@@ -52,6 +15,7 @@ class TestMomentumSamples:
         samples = momentum_samples(k, 5000, seed=3)
         norms = np.linalg.norm(samples, axis=1)
         np.testing.assert_allclose(norms, k, rtol=1e-12)
+        assert np.all((samples[:, 2] > 0.0) & (samples[:, 2] <= k))  # forward hemisphere
 
     def test_azimuthal_symmetry(self):
         n = 10 ** 6
@@ -60,6 +24,12 @@ class TestMomentumSamples:
         bound = 3.0 * np.sqrt(1.0 / 3.0 / n)
         assert abs(samples[:, 0].mean()) <= bound
         assert abs(samples[:, 1].mean()) <= bound
+
+    def test_mean_axial_component(self):
+        n = 10 ** 6
+        kz = momentum_samples(1.0, n, seed=2)[:, 2]
+        # <cos theta> over a uniform hemisphere is 1/2; std of U(0,1) is 1/sqrt(12)
+        assert abs(kz.mean() - 0.5) <= 3.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(n)
 
     def test_matches_stats_stream(self):
         samples = momentum_samples(1.5, 1000, seed=9)

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import pulselab
@@ -23,7 +25,7 @@ from pulselab import (
     sample_waveform,
     uncertainty_product,
 )
-from pulselab.spectral import _direct_intensity, _uniform
+from pulselab.spectral import _blocked_intensity, _direct_intensity, _uniform
 
 
 def rect_waveform(a0, omega0, tau, n=4096):
@@ -104,6 +106,14 @@ def carrier_waveform(n, t0=0.0, omega0=10.0, tau=2.0):
     return SampledWaveform(t, 1.3 * np.exp(1j * omega0 * t))
 
 
+def jittered_waveform(n, t0=0.0, seed=3):
+    """carrier_waveform with each interior time moved by up to 0.3 steps, as the
+    benchmark's jittered spectrum-sampled inputs are."""
+    t = np.linspace(t0, t0 + 2.0, n)
+    t[1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, n - 2) * (t[1] - t[0])
+    return SampledWaveform(t, 1.3 * np.exp(10.0j * t))
+
+
 class TestChirpZGate:
     @pytest.mark.parametrize("n,m,t0,halfwidths,stride", [
         (2048, 1001, 0.0, 2.5, 1),  # the benchmark's spectrum-sampled shape
@@ -137,18 +147,12 @@ class TestChirpZGate:
         assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
     def test_non_uniform_grids_take_direct_path(self):
-        rng = np.random.default_rng(3)
-        wf = carrier_waveform(512)
-        h = wf.t[1] - wf.t[0]
-        t = wf.t.copy()
-        t[1:-1] += rng.uniform(-0.3, 0.3, t.size - 2) * h
-        jittered = SampledWaveform(t, wf.amp)
-        omega = np.linspace(6.0, 14.0, 201)
+        # A non-uniform omega grid takes the direct quadrature, whatever the time grid.
         stretched = 10.0 + 4.0 * np.sinh(np.linspace(-1.0, 1.0, 201)) / np.sinh(1.0)
-        assert not _uniform(t) and not _uniform(stretched)
-        for wave, grid in ((jittered, omega), (wf, stretched)):
-            np.testing.assert_array_equal(fourier_intensity(wave, grid).intensity,
-                                          _direct_intensity(wave.amp, wave.t, grid))
+        assert not _uniform(stretched)
+        for wave in (carrier_waveform(512), jittered_waveform(512)):
+            np.testing.assert_array_equal(fourier_intensity(wave, stretched).intensity,
+                                          _direct_intensity(wave.amp, wave.t, stretched))
 
     def test_import_does_not_load_numpy_fft(self):
         src = os.path.dirname(os.path.dirname(pulselab.__file__))
@@ -156,6 +160,77 @@ class TestChirpZGate:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out.strip() == "False"
+
+
+class TestBlockedGate:
+    """The angle-addition path, which a uniform omega grid with a non-uniform
+    time grid takes, against the direct quadrature at CHIRP_Z_GATE of the peak.
+
+    The kernel is called directly, so that grids the dispatch would send to
+    the chirp-z path (N = 2 is always uniform) are covered too."""
+
+    @pytest.mark.parametrize("n,m,t0,halfwidths,stride", [
+        (2048, 1001, 0.0, 2.5, 1),  # the benchmark's jittered spectrum-sampled shape
+        (2048, 1001, 100.0, 2.5, 1),
+        (2048, 1001, 1000.0, 2.5, 1),
+        (2048, 20001, 0.0, 2.5, 20),
+        (512, 1024, 0.0, 2.5, 1),  # M = B^2
+        (512, 6, 0.0, 2.5, 1),  # M a multiple of B = 3
+        (512, 7, 0.0, 2.5, 1),  # M = 7, B = 3: the last block is cut short
+        (512, 10, 0.0, 2.5, 1),
+        (512, 3, 0.0, 2.5, 1),
+        (512, 2, 0.0, 0.25, 1),
+        (2, 2, 0.0, 0.1, 1),
+        (2, 5, 0.0, 0.5, 1),
+    ])
+    def test_matches_direct(self, n, m, t0, halfwidths, stride):
+        # The direct reference runs on every stride-th omega (the peak included).
+        wf = jittered_waveform(n, t0)
+        half = halfwidths * np.pi
+        omega = np.linspace(10.0 - half, 10.0 + half, m)
+        fast = _blocked_intensity(wf.amp, wf.t, omega)[::stride]
+        ref = _direct_intensity(wf.amp, wf.t, omega[::stride])
+        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
+
+    def test_far_time_origin(self):
+        # The offsets t - t[0] are exact here (Sterbenz), so the direct sum over
+        # them is an accurate reference; a sum over t itself would lose
+        # ~eps * |omega * t| = 4e-9 rad per term.
+        wf = jittered_waveform(2048)
+        t = 1e6 + wf.t
+        omega = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
+        fast = _blocked_intensity(wf.amp, t, omega)
+        ref = _direct_intensity(wf.amp, t - t[0], omega)
+        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
+
+    def test_jittered_time_takes_blocked_path(self):
+        wf = jittered_waveform(512)
+        omega = np.linspace(6.0, 14.0, 201)
+        assert _uniform(omega) and not _uniform(wf.t)
+        fast = fourier_intensity(wf, omega).intensity
+        np.testing.assert_array_equal(fast, _blocked_intensity(wf.amp, wf.t, omega))
+        ref = _direct_intensity(wf.amp, wf.t, omega)
+        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gaps=st.lists(st.floats(0.001, 0.1), min_size=1, max_size=300),
+           t0=st.floats(-5.0, 5.0), omega0=st.floats(-10.0, 10.0),
+           half=st.floats(0.1, 20.0), k=st.integers(1, 150),
+           noise=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 16))
+    def test_random_time_grids(self, gaps, t0, omega0, half, k, noise, seed):
+        # A carrier at the middle omega, so the peak is about the duration
+        # squared, with seeded complex noise on the amplitudes.  |omega * t|
+        # stays below ~1e3, where the direct reference's own phase rounding
+        # is far below the gate.
+        t = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
+        assume(np.all(np.diff(t) > 0.0))
+        rng = np.random.default_rng(seed)
+        amp = np.exp(1j * omega0 * t) * (1.0 + noise * (rng.normal(size=t.size)
+                                                         + 1j * rng.normal(size=t.size)))
+        omega = np.linspace(omega0 - half, omega0 + half, 2 * k + 1)
+        fast = _blocked_intensity(amp, t, omega)
+        ref = _direct_intensity(amp, t, omega)
+        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
 
 class TestWidths:
