@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import re
 import sys
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -142,21 +144,34 @@ def _emit_row_csv(config: dict, results: dict, output: str | None) -> None:
 
 
 def _read_waveform(path: str) -> SampledWaveform:
+    """The waveform in a CSV file: a header row that names ``t`` and either
+    ``re``,``im`` or ``amp`` (``amp`` wins when both are there) among any other
+    columns, then one row of numbers per sample.
+
+    The header goes through ``csv``; the body is parsed in one C pass by
+    ``np.loadtxt``, which reads only the named columns and converts each number
+    with the correctly rounded string-to-double ``float()`` uses.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
+            fields = next(csv.reader(fh), [])
             if "t" not in fields or not ({"re", "im"} <= set(fields) or "amp" in fields):
                 raise RunError(f"{path}: expected CSV columns t,re,im or t,amp")
-            t, amp = [], []
-            for row in reader:
-                t.append(float(row["t"]))
-                if "amp" in fields:
-                    amp.append(complex(float(row["amp"]), 0.0))
-                else:
-                    amp.append(complex(float(row["re"]), float(row["im"])))
-        return SampledWaveform(np.array(t), np.array(amp))
-    except (OSError, ValueError) as exc:
+            # A repeated name means its last column, as in a csv.DictReader row.
+            column = {name: i for i, name in enumerate(fields)}
+            names = ("t", "amp") if "amp" in column else ("t", "re", "im")
+            with warnings.catch_warnings():
+                # SampledWaveform refuses an empty body below; numpy's warning would only repeat it.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, delimiter=",", usecols=[column[name] for name in names],
+                                  ndmin=2, comments=None, quotechar='"')
+        t, *parts = body.T
+        amp = np.zeros(len(t), complex)  # complex(re, im), or complex(amp, 0.0)
+        amp.real = parts[0]
+        if len(parts) == 2:
+            amp.imag = parts[1]
+        return SampledWaveform(t, amp)
+    except (OSError, ValueError, csv.Error) as exc:
         raise RunError(f"cannot read waveform {path}: {exc}") from exc
 
 
@@ -341,13 +356,29 @@ def cmd_recoil(args) -> int:
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser (subparsers are of the same class) that reads
+    ``_NEGATIVE_NUMBER`` as a value and raises argparse's usage errors as
+    ``UsageError``, so ``main`` reports them as one ``error:`` line."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _add_io_flags(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pulselab")
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first call and kept for the process:
+    parsing leaves no state in it."""
+    parser = _Parser(prog="pulselab")
     parser.add_argument("--version", action="version", version=f"pulselab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -384,28 +415,22 @@ def _parser() -> argparse.ArgumentParser:
     rc.add_argument("--dump", default=None, help="per-sample CSV path (columns kx,ky,kz)")
     _add_io_flags(rc)
     rc.set_defaults(func=cmd_recoil)
-
-    for p in (parser, sp, wd, ad, rc):
-        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
+    except (UsageError, RunError) as exc:
+        # A message can quote a flag or path that holds a line break; the error stays one line.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

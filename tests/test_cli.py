@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -415,3 +416,252 @@ class TestEmitProperties:
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[lines.index("omega,intensity") + 1:]])
         assert rows[:, 0].tolist() == doc["results"]["omega"]
         assert rows[:, 1].tolist() == doc["results"]["intensity"]
+
+
+# The waveform reader parses the body with np.loadtxt; these tests hold it to
+# the per-row csv.DictReader + float() loop it replaced, bit for bit.
+
+def reference_read(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        t, amp = [], []
+        for row in reader:
+            t.append(float(row["t"]))
+            if "amp" in fields:
+                amp.append(complex(float(row["amp"]), 0.0))
+            else:
+                amp.append(complex(float(row["re"]), float(row["im"])))
+    return SampledWaveform(np.array(t), np.array(amp))
+
+
+def assert_reads_as_reference(path):
+    got, want = pulselab.cli._read_waveform(str(path)), reference_read(path)
+    for a, b in ((got.t, want.t), (got.amp, want.amp)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+def bench_style_grid(jittered, n=2048, tau=2.5):
+    """As a linspace export (ulp-level spacing noise) or a jittered grid."""
+    if not jittered:
+        return np.linspace(0.0, tau, n)
+    h = tau / (n - 1)
+    t = np.arange(n) * h
+    t[1:-1] += np.random.default_rng(3).uniform(-0.3, 0.3, n - 2) * h
+    t[-1] = tau
+    return t
+
+
+SPECTRUM_TAIL = ["--omega-min", "4", "--omega-max", "16", "--points", "11"]
+
+
+class TestWaveformReader:
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_bench_style_files(self, tmp_path, jittered):
+        t = bench_style_grid(jittered)
+        amp = 1.3 * np.exp(17j * t)
+        path = tmp_path / "wave.csv"
+        path.write_text("t,re,im\n" + "".join(
+            f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), amp.tolist())))
+        assert_reads_as_reference(path)
+        assert pulselab.cli._read_waveform(str(path)).t.tolist() == t.tolist()
+
+    @pytest.mark.parametrize("text", [
+        "t,amp\n0,1.5\n0.5,-0.0\n1,-2.25\n",
+        "t,re,im,amp\n0,9,9,1.5\n0.5,9,9,2\n1,9,9,-3\n",  # amp wins over re,im
+        "im,note,re,t\n0.5,a b,1,0\n-0.5,\"c,d\",2,1\n0,,3,2\n",  # reordered, non-numeric extra
+        "t,re,im\n0,1,0,x,y\n1,2,-0.0\n2,3,1,,,,\n",  # long rows
+        "t,re,im,t\n9,1,0,0\n9,2,0,1\n",  # a repeated name means its last column
+        't,re,im\n"0","1.5",0\n1,"2","-3"\n',  # quoted fields
+        "t,re,im\r\n0,1,0\r\n1,2,3\r\n",  # CRLF
+        "t,re,im\n\n0,1,0\n\n\n1,2,3\n\n",  # blank lines
+        "t,re,im\n 0 , 1,0 \n1,\t2 ,  3\n",  # spaces around values
+        "t,re,im\n0,1e-320,-1.7976931348623157e+308\n1e-5,+.5,5.\n2,1E+2,-0\n",
+    ], ids=["t-amp", "amp-and-re-im", "reordered-extra", "long-rows", "repeated-name",
+            "quoted", "crlf", "blank-lines", "spaces", "number-forms"])
+    def test_layouts(self, tmp_path, text):
+        path = tmp_path / "wave.csv"
+        path.write_bytes(text.encode())
+        assert_reads_as_reference(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(times=st.lists(st.floats(**finite), min_size=2, max_size=40, unique=True),
+           parts=st.lists(st.floats(**finite), min_size=80, max_size=80),
+           spec=st.sampled_from(["repr", "%.17g"]))
+    def test_random_doubles(self, tmp_path_factory, times, parts, spec):
+        t = sorted(times)
+        fmt = repr if spec == "repr" else (lambda x: "%.17g" % x)
+        path = tmp_path_factory.mktemp("wave") / "wave.csv"
+        path.write_text("t,re,im\n" + "".join(
+            f"{fmt(ti)},{fmt(parts[2 * i])},{fmt(parts[2 * i + 1])}\n" for i, ti in enumerate(t)))
+        assert_reads_as_reference(path)
+
+    @pytest.mark.parametrize("text", [
+        "t,re,im\n0,1,0\n0.5,1\n1,1,0\n",  # short row
+        "t,re,im\n",  # header only
+        "t,re,im\n0,1,0\n",  # one row
+        "t,re,im\n0,1,0\n0.5,x,0\n1,1,0\n",  # non-numeric value
+        "t,re,im\n0,1,0\n   \n1,1,0\n",  # whitespace-only line
+        "time,re,im\n0,1,0\n1,1,0\n",  # no t column
+        "t,re,im\n0,1,0\n# note\n1,1,0\n",  # no comment syntax
+        "t,re,im\n0,1,0\n1_0,1,0\n",  # digit-grouping underscore: refused
+        "t,re,im\n0,1,0\n\u0661,1,0\n",  # a non-ASCII digit: refused
+        "t,re,im\n0,1,0\n1,\"" + "9" * 200000 + "\",0\n",  # past csv's field size limit; inf
+        "t,re,im,\"" + "x" * 200000 + "\"\n0,1,0\n1,1,0\n",  # a header field beyond csv's size limit
+    ], ids=["short-row", "header-only", "one-row", "non-numeric", "whitespace-line",
+            "no-t-column", "comment-line", "underscore", "non-ascii-digit", "huge-number",
+            "huge-header"])
+    def test_bad_files_are_runtime_errors(self, capsys, tmp_path, text):
+        path = tmp_path / "wave.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["t,re,im\n", "t,re,im\n\n\n", "t,re,im\n0,1,0\n"])
+    def test_too_few_rows_message(self, capsys, tmp_path, text):
+        path = tmp_path / "wave.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+        assert caught == []  # numpy's empty-input warning would print to stderr
+        assert capsys.readouterr().err == (
+            f"error: cannot read waveform {path}: time grid must be a 1-d grid with at least 2 points\n")
+
+
+REQUIRED = {
+    "spectrum": {"--omega-min": "4", "--omega-max": "16", "--points": "11", "--a0": "1",
+                 "--omega0": "10", "--tau": "2"},
+    "width": {"--omega0": "10", "--tau": "2"},
+    "adjust": {"--e": "2", "--de": "1", "--t": "1"},
+    "recoil": {"--k": "1", "--n": "10"},
+}
+KNOWN_FLAGS = {"--help", "--version", "--input", "--hbar", "--mode", "--seed", "--dump", "--format", "--output"} | {
+    flag for flags in REQUIRED.values() for flag in flags}
+CHOICE_FLAGS = {"--format": ("csv", "json"), "--mode": ("paper", "consistent", "both")}
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Argument text as an OS passes it: no NUL, no lone surrogates.
+arg_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
+
+
+@st.composite
+def bad_argv(draw):
+    """A command line with one flag or value broken, which must fail as a usage error."""
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    flags = dict(REQUIRED[command])
+    kind = draw(st.sampled_from(["drop-flag", "drop-value", "bad-number", "bad-choice",
+                                 "unknown-flag", "stray-value", "non-finite", "no-command"]))
+    extra = []
+    if kind == "drop-flag":
+        del flags[draw(st.sampled_from(sorted(flags)))]
+    elif kind == "drop-value":
+        flag = draw(st.sampled_from(sorted(flags)))
+        del flags[flag]
+        extra = [flag]  # last, so it has no value
+    elif kind == "bad-number":
+        flag = draw(st.sampled_from(sorted(flags)))
+        flags[flag] = draw(arg_text.filter(lambda s: not is_number(s) and not s.startswith("-h")
+                                           and not s.startswith("--h")))
+    elif kind == "bad-choice":
+        flag = draw(st.sampled_from(sorted(CHOICE_FLAGS)))
+        if flag == "--mode" and command != "adjust":
+            flag = "--format"
+        flags[flag] = draw(arg_text.filter(lambda s: s not in CHOICE_FLAGS[flag] and not s.startswith("-")))
+    elif kind == "unknown-flag":
+        name = draw(st.from_regex(r"--[a-z][a-z0-9-]{0,10}", fullmatch=True))
+        # argparse takes any unambiguous prefix of a flag for the flag
+        if any(known.startswith(name) for known in KNOWN_FLAGS):
+            name = "--no-such-" + name[2:]
+        value = draw(arg_text)
+        extra = [name, value] if draw(st.booleans()) and not value.startswith("-") else [f"{name}={value}"]
+    elif kind == "stray-value":
+        extra = [draw(arg_text.filter(lambda s: not s.startswith("-")))]
+    elif kind == "non-finite":
+        numeric = sorted(set(flags) - {"--points", "--n"})
+        flags[draw(st.sampled_from(numeric))] = draw(st.sampled_from(["inf", "-inf", "nan", "Infinity"]))
+    argv = [command] + [item for pair in flags.items() for item in pair] + extra
+    if kind == "no-command":
+        argv = argv[1:]
+    return argv
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["adjust", "--e", "2", "--de", "-x", "--t", "1"], "argument --de: expected one argument"),
+        (["spectrum", "--points", "3"], "the following arguments are required: --omega-min, --omega-max"),
+        (["recoil", "--k", "1", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+        (["width", "--omega0", "1", "--tau", "1", "x\ny"], "unrecognized arguments: x y"),
+    ])
+    def test_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["adjust", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: pulselab" if "--help" in argv else "pulselab ")
+        assert captured.err == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bad_argv())
+    def test_bad_flags_exit_two_with_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_first_calls(self, tmp_path):
+        t = np.linspace(0.0, 2.0, 256)
+        wave = tmp_path / "wave.csv"
+        wave.write_text("t,re,im\n" + "".join(
+            f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), np.exp(10j * t).tolist())))
+        omega = ["--omega-min", repr(10.0 - 2.5 * math.pi), "--omega-max", repr(10.0 + 2.5 * math.pi),
+                 "--points", "101"]
+        calls = [
+            ["spectrum", "--input", str(wave), *omega],
+            ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", *omega],
+            ["adjust", "--e", "2", "--de", "-x", "--t", "1"],
+            ["width", "--omega0", "10", "--tau", "2", "--format", "csv"],
+            ["adjust", "--e", "2", "--de", "1", "--t", "1", "--mode", "paper"],
+            ["recoil", "--k", "1", "--n", "100", "--seed", "3"],
+            ["spectrum", "--input", str(wave), *omega, "--format", "csv"],
+            ["adjust", "--e", "2", "--de", "1", "--t", "1"],
+            ["width", "--omega0", "10", "--tau", "2"],
+        ]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        first = []
+        for argv in calls:
+            pulselab.cli._parser.cache_clear()
+            first.append(run(argv))
+        pulselab.cli._parser.cache_clear()
+        parser = pulselab.cli._parser()
+        assert [run(argv) for argv in calls] == first
+        assert pulselab.cli._parser() is parser
+        assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
