@@ -12,7 +12,6 @@ from .adjustment import (
     adjusted_energy_consistent,
     adjusted_energy_paper,
     expand_product,
-    lifetime_width,
     paper_offset,
     solve_imag_zero,
 )
@@ -26,7 +25,6 @@ from .spectral import (
     MomentReport,
     SampledWaveform,
     Spectrum,
-    WidthReport,
     energy_moments,
     first_zero_halfwidth,
     first_zero_halfwidth_numeric,
@@ -53,7 +51,6 @@ __all__ = [
     "RecoilStats",
     "SampledWaveform",
     "Spectrum",
-    "WidthReport",
     "adjusted_energy_consistent",
     "adjusted_energy_paper",
     "analytic_intensity",
@@ -63,7 +60,6 @@ __all__ = [
     "first_zero_halfwidth_numeric",
     "fourier_intensity",
     "fwhm",
-    "lifetime_width",
     "mean_omega_numeric",
     "momentum_samples",
     "paper_offset",

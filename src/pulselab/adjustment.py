@@ -28,7 +28,6 @@ __all__ = [
     "adjusted_energy_paper",
     "paper_offset",
     "expand_product",
-    "lifetime_width",
 ]
 
 
@@ -208,12 +207,3 @@ def paper_offset(ce: ComplexEnergy, t: float) -> float:
     if ce.e == 0.0:
         raise ZeroDivisionError("adjustment undefined for E = 0")
     return ce.de * t / ce.e
-
-
-def lifetime_width(tau_life: float, hbar: float = 1.0) -> float:
-    """Level width hbar/tau_life associated with a finite excited-state lifetime."""
-    if not (math.isfinite(tau_life) and tau_life > 0.0):
-        raise ValueError("tau_life must be positive")
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise ValueError("hbar must be positive")
-    return hbar / tau_life

@@ -1,11 +1,16 @@
 """Command-line front end: spectrum, width, adjust, recoil subcommands.
 
-Every JSON output carries the full effective configuration under a
-``config`` key, so a run can be reproduced byte-for-byte from its own
-output.  JSON floats are written as the shortest text that reads back as the
-same double (``float.__repr__``, as ``json`` writes them); CSV carries the
-same numbers as ``%.17g``.  Exit codes: 0 success, 1 runtime/domain error,
-2 usage error.
+Each run is one parse -> compute -> emit pass in ``main``.  The parsed flags,
+all of them, become the document's ``config``, so a run can be reproduced
+byte-for-byte from its own output.  The subcommand's ``cmd_*`` function turns
+them into ``(results, table)``: scalars by name, and ``None`` or 1-D arrays by
+column name.  ``_emit`` writes JSON (the table's columns among the results), a
+CSV table under ``# key = value`` lines, or a two-row CSV of the results.
+
+JSON floats are written as the shortest text that reads back as the same
+double (``float.__repr__``, as ``json`` writes them); CSV carries the same
+numbers as ``%.17g``.  Exit codes, mapped in ``main`` alone: 0 success, 1
+runtime/domain error (``RunError`` or a library ``ValueError``), 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -127,20 +133,21 @@ def _csv_table(columns: str, table: np.ndarray):
         yield row * len(block) % tuple(block.ravel().tolist())
 
 
-def _emit_json(config: dict, results: dict, output: str | None) -> None:
+def _emit(config: dict, results: dict, table: dict | None) -> None:
+    """Write the run's document to ``config["output"]``, or to stdout when it is None."""
     _require_finite(results)
-    _write(chain(_json_chunks({"config": config, "results": results}), ["\n"]), output)
-
-
-def _emit_row_csv(config: dict, results: dict, output: str | None) -> None:
-    _require_finite(results)
-    buf = io.StringIO()
-    buf.write(_header(config))
-    scalars = {k: v for k, v in results.items() if not isinstance(v, (list, dict))}
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(sorted(scalars))
-    writer.writerow([_fmt(scalars[k]) for k in sorted(scalars)])
-    _write([buf.getvalue()], output)
+    if config["format"] == "json":
+        chunks = chain(_json_chunks({"config": config, "results": {**results, **(table or {})}}), ["\n"])
+    elif table is not None:
+        chunks = chain([_header(config, results)], _csv_table(",".join(table), np.column_stack(tuple(table.values()))))
+    else:
+        buf = io.StringIO()
+        buf.write(_header(config))
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(sorted(results))
+        writer.writerow([_fmt(results[k]) for k in sorted(results)])
+        chunks = [buf.getvalue()]
+    _write(chunks, config["output"])
 
 
 def _read_waveform(path: str) -> SampledWaveform:
@@ -188,40 +195,21 @@ def _omega_grid(args) -> np.ndarray:
     return grid
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[dict, dict]:
     grid = _omega_grid(args)
-    config = {
-        "command": "spectrum",
-        "a0": args.a0,
-        "omega0": args.omega0,
-        "tau": args.tau,
-        "input": args.input,
-        "omega_min": args.omega_min,
-        "omega_max": args.omega_max,
-        "points": args.points,
-        "format": args.format,
-        "output": args.output,
-    }
     if args.input is not None:
         waveform = _read_waveform(args.input)
-        try:
-            # Spectrum refuses what overflows, so numpy's warnings would only repeat it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                spec = fourier_intensity(waveform, grid)
-        except ValueError as exc:
-            raise RunError(str(exc)) from exc
+        # Spectrum refuses what overflows, so numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec = fourier_intensity(waveform, grid)
         duration = float(waveform.t[-1] - waveform.t[0])
         i_peak = int(np.argmax(spec.intensity))
-        try:
-            half = first_zero_halfwidth_numeric(spec)
-            width = fwhm(spec)
-        except ValueError as exc:
-            raise RunError(str(exc)) from exc
+        half = first_zero_halfwidth_numeric(spec)
         summary = {
             "peak_intensity": float(spec.intensity[i_peak]),
             "peak_omega": float(spec.omega[i_peak]),
             "first_zero_halfwidth": half,
-            "fwhm": width,
+            "fwhm": fwhm(spec),
             "duration": duration,
             "time_bandwidth_product": half * duration,
         }
@@ -232,10 +220,7 @@ def cmd_spectrum(args) -> int:
             pulse = Pulse(args.a0, args.omega0, args.tau)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        try:
-            spec = Spectrum(grid, analytic_intensity(pulse, grid))
-        except ValueError as exc:
-            raise RunError(str(exc)) from exc
+        spec = Spectrum(grid, analytic_intensity(pulse, grid))
         half = first_zero_halfwidth(pulse)
         summary = {
             "peak_intensity": peak_intensity(pulse),
@@ -245,59 +230,28 @@ def cmd_spectrum(args) -> int:
             "duration": pulse.tau,
             "time_bandwidth_product": half * pulse.tau,
         }
-    if args.format == "json":
-        _emit_json(config, {**summary, "omega": spec.omega, "intensity": spec.intensity}, args.output)
-    else:
-        _require_finite(summary)
-        table = _csv_table("omega,intensity", np.column_stack((spec.omega, spec.intensity)))
-        _write(chain([_header(config, summary)], table), args.output)
-    return 0
+    return summary, {"omega": spec.omega, "intensity": spec.intensity}
 
 
-def cmd_width(args) -> int:
+def cmd_width(args) -> tuple[dict, None]:
     try:
         pulse = Pulse(1.0, args.omega0, args.tau)
         moments = energy_moments(pulse, args.hbar)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     half = first_zero_halfwidth(pulse)
-    config = {
-        "command": "width",
-        "omega0": args.omega0,
-        "tau": args.tau,
-        "hbar": args.hbar,
-        "format": args.format,
-        "output": args.output,
-    }
-    results = {
+    return {
         "first_zero_halfwidth": half,
         "fwhm": rectangular_fwhm(args.tau),
         "time_bandwidth_product": half * args.tau,
-        "mean_omega": moments.mean_omega,
-        "mean_energy": moments.mean_energy,
-        "delta_e_convention": moments.delta_e_convention,
-        "hbar": moments.hbar,
-    }
-    if args.format == "json":
-        _emit_json(config, results, args.output)
-    else:
-        _emit_row_csv(config, results, args.output)
-    return 0
+        **asdict(moments),
+    }, None
 
 
-def cmd_adjust(args) -> int:
+def cmd_adjust(args) -> tuple[dict, None]:
     if args.e == 0.0:
         raise RunError("adjustment undefined for E = 0")
     ce = ComplexEnergy(args.e, args.de)
-    config = {
-        "command": "adjust",
-        "e": args.e,
-        "de": args.de,
-        "t": args.t,
-        "mode": args.mode,
-        "format": args.format,
-        "output": args.output,
-    }
     results: dict = {}
     if args.mode in ("paper", "both"):
         zeta_paper = paper_offset(ce, args.t)
@@ -309,14 +263,10 @@ def cmd_adjust(args) -> int:
         results["consistent_value"] = adj.value
         results["zeta_consistent"] = adj.zeta
         results["residual_im_consistent"] = expand_product(ce, args.t, adj.zeta).im
-    if args.format == "json":
-        _emit_json(config, results, args.output)
-    else:
-        _emit_row_csv(config, results, args.output)
-    return 0
+    return results, None
 
 
-def cmd_recoil(args) -> int:
+def cmd_recoil(args) -> tuple[dict, None]:
     try:
         if args.dump is None:
             stats, samples = recoil_stats(args.k, args.n, args.seed), None
@@ -324,30 +274,9 @@ def cmd_recoil(args) -> int:
             stats, samples = stats_and_samples(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    config = {
-        "command": "recoil",
-        "k": args.k,
-        "n": args.n,
-        "seed": args.seed,
-        "dump": args.dump,
-        "format": args.format,
-        "output": args.output,
-    }
-    results = {
-        "n": stats.n,
-        "k": stats.k,
-        "mean_kz": stats.mean_kz,
-        "std_kz": stats.std_kz,
-        "seed": stats.seed,
-        "generator": stats.generator,
-    }
     if samples is not None:
         _write(_csv_table("kx,ky,kz", samples), args.dump)
-    if args.format == "json":
-        _emit_json(config, results, args.output)
-    else:
-        _emit_row_csv(config, results, args.output)
-    return 0
+    return asdict(stats), None
 
 
 # argparse takes an argument that starts with "-" for an option unless it
@@ -421,13 +350,15 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        for name, value in vars(args).items():
+        config = {name: value for name, value in vars(args).items() if name != "func"}
+        for name, value in config.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
-        return args.func(args)
+        _emit(config, *args.func(args))
+        return 0
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (UsageError, RunError) as exc:
+    except (UsageError, RunError, ValueError) as exc:
         # A message can quote a flag or path that holds a line break; the error stays one line.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

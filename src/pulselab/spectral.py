@@ -20,7 +20,6 @@ from .wavepacket import Pulse
 __all__ = [
     "SampledWaveform",
     "Spectrum",
-    "WidthReport",
     "MomentReport",
     "fourier_intensity",
     "first_zero_halfwidth",
@@ -87,13 +86,6 @@ class Spectrum:
             raise ValueError("intensities must be nonnegative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "intensity", intensity)
-
-
-@dataclass(frozen=True)
-class WidthReport:
-    first_zero_halfwidth: float
-    fwhm: float
-    product: float  # first_zero_halfwidth * duration
 
 
 @dataclass(frozen=True)

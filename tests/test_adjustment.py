@@ -11,7 +11,6 @@ from pulselab import (
     adjusted_energy_consistent,
     adjusted_energy_paper,
     expand_product,
-    lifetime_width,
     paper_offset,
     solve_imag_zero,
 )
@@ -159,15 +158,3 @@ class TestClosedForms:
             adjusted_energy_paper(ComplexEnergy(0.0, 1.0))
         with pytest.raises(ZeroDivisionError):
             adjusted_energy_consistent(ComplexEnergy(0.0, 1.0), 1.0)
-
-
-class TestLifetimeWidth:
-    @pytest.mark.parametrize("tau,hbar,expected", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0)])
-    def test_values(self, tau, hbar, expected):
-        assert lifetime_width(tau, hbar) == expected
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            lifetime_width(0.0)
-        with pytest.raises(ValueError):
-            lifetime_width(1.0, hbar=-1.0)

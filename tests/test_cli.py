@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -40,6 +41,16 @@ def rebuild_argv(config):
         # (test_negative_exponent_after_bare_flag)
         argv.append(f"--{key.replace('_', '-')}={value}")
     return argv
+
+
+def write_clean_waveform(tmp_path):
+    """The pulse a0 = 1, omega0 = 10, tau = 2 sampled at 2048 equally spaced times."""
+    t = np.linspace(0.0, 2.0, 2048)
+    amp = sample_waveform(Pulse(1.0, 10.0, 2.0), t)
+    path = tmp_path / "clean.csv"
+    path.write_text("t,re,im\n" + "".join(
+        f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), amp.tolist())))
+    return path
 
 
 class TestSpectrum:
@@ -129,6 +140,35 @@ class TestSpectrum:
     def test_unreadable_input(self, capsys, tmp_path):
         assert main(["spectrum", "--input", str(tmp_path / "missing.csv"),
                      "--omega-min", "4", "--omega-max", "16", "--points", "10"]) == 1
+
+    @pytest.mark.parametrize("omega_min,omega_max,points,message", [
+        ("10", "11", "101", "spectrum has no interior maximum"),
+        ("9", "14", "2001", "half-maximum level is not crossed within the grid"),
+        ("9.5", "10.5", "101", "no zero in range of the sampled spectrum"),
+    ], ids=["no-interior-peak", "no-half-maximum", "no-null"])
+    def test_sampled_width_failure_is_runtime_error(self, capsys, tmp_path, omega_min, omega_max, points,
+                                                    message):
+        wave = write_clean_waveform(tmp_path)
+        assert main(["spectrum", "--input", str(wave), "--omega-min", omega_min, "--omega-max", omega_max,
+                     "--points", points]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_input_mode_ignores_analytic_flags(self, capsys, tmp_path):
+        wave = write_clean_waveform(tmp_path)
+        grid = [f"--omega-min={10.0 - 2.5 * math.pi!r}", f"--omega-max={10.0 + 2.5 * math.pi!r}", "--points=1001"]
+        code, doc = run_json(capsys, ["spectrum", "--input", str(wave), *grid])
+        assert code == 0
+        code, with_tau = run_json(capsys, ["spectrum", "--input", str(wave), "--tau", "-1", *grid])
+        assert code == 0
+        assert with_tau["config"]["tau"] == -1.0
+        assert with_tau["results"] == doc["results"]
+
+    def test_bad_points_is_usage_error_before_input_is_read(self, capsys, tmp_path):
+        assert main(["spectrum", "--input", str(tmp_path / "missing.csv"),
+                     "--omega-min", "4", "--omega-max", "16", "--points", "1"]) == 2
+        assert capsys.readouterr().err == "error: --points must be at least 2\n"
 
     def test_csv_output(self, capsys, tmp_path):
         out = tmp_path / "spec.csv"
@@ -282,9 +322,21 @@ def reference_table(columns, table):
     return "".join(line + "\n" for line in lines)
 
 
+def reference_header(*sections):
+    return "".join(f"# {k} = {reference_value(v)}\n" for section in sections for k, v in sorted(section.items()))
+
+
 def reference_spectrum_csv(config, summary, omega, intensity):
-    header = [f"# {k} = {reference_value(v)}\n" for section in (config, summary) for k, v in sorted(section.items())]
-    return "".join(header) + reference_table("omega,intensity", np.column_stack((omega, intensity)))
+    return reference_header(config, summary) + reference_table("omega,intensity", np.column_stack((omega, intensity)))
+
+
+def reference_row_csv(config, results):
+    """The config header, then a csv.writer row of result names and one of values."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(sorted(results))
+    writer.writerow([reference_value(results[k]) for k in sorted(results)])
+    return reference_header(config) + buf.getvalue()
 
 
 def run_text(argv):
@@ -357,6 +409,27 @@ class TestEmitGate:
         assert code == 0
         spec = fourier_intensity(SampledWaveform(t, amp), omega)
         assert text == reference_json(json.loads(text), {"omega": spec.omega, "intensity": spec.intensity})
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    @pytest.mark.parametrize("argv", [
+        ["width", "--omega0", "3", "--tau", "0.7", "--hbar", "1.5"],
+        ["adjust", "--e", "2", "--de", "-0.3", "--t", "0.7", "--mode", "paper"],
+        ["adjust", "--e", "2", "--de", "-0.3", "--t", "0.7", "--mode", "consistent"],
+        ["adjust", "--e", "2", "--de", "-0.3", "--t", "0.7", "--mode", "both"],
+        ["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"],
+    ], ids=["width", "adjust-paper", "adjust-consistent", "adjust-both", "recoil"])
+    def test_row_csv_bytes(self, tmp_path, argv, to_file):
+        code, text = run_text(argv)
+        assert code == 0
+        doc = json.loads(text)
+        out = tmp_path / "row.csv"
+        code, csv_text = run_text(argv + ["--format", "csv"] + (["--output", str(out)] if to_file else []))
+        assert code == 0
+        if to_file:
+            assert csv_text == ""
+            csv_text = out.read_bytes().decode()
+        config = {**doc["config"], "format": "csv", "output": str(out) if to_file else None}
+        assert csv_text == reference_row_csv(config, doc["results"])
 
     @pytest.mark.parametrize("n,block_rows", [(3, None), (50000, None), (10, 3)])
     def test_recoil_dump_bytes(self, tmp_path, monkeypatch, n, block_rows):
@@ -596,6 +669,19 @@ def bad_argv(draw):
     if kind == "no-command":
         argv = argv[1:]
     return argv
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_config_is_every_flag_of_the_command(self, command):
+        """The embedded config holds the full effective configuration: every
+        destination of the command's subparser, plus the command itself."""
+        parser = pulselab.cli._parser()
+        subparser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+        dests = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
+        code, text = run_text([command, *(item for pair in REQUIRED[command].items() for item in pair)])
+        assert code == 0
+        assert set(json.loads(text)["config"]) == dests | {"command"}
 
 
 class TestUsageErrors:

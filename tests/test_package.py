@@ -1,5 +1,10 @@
+import re
+from pathlib import Path
+
 import pulselab
 from pulselab import adjustment, recoil, spectral, wavepacket
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_package_exports_every_module_export():
@@ -7,3 +12,12 @@ def test_package_exports_every_module_export():
     assert sorted(pulselab.__all__) == sorted(name for m in modules for name in m.__all__)
     for name in pulselab.__all__:
         assert getattr(pulselab, name) is next(getattr(m, name) for m in modules if name in m.__all__)
+
+
+def test_readme_library_api_lists_every_export():
+    _, heading, rest = README.read_text(encoding="utf-8").partition("\n## Library API\n")
+    assert heading, "README.md has no '## Library API' section"
+    section = rest.split("\n## ", 1)[0]
+    # One bullet per name: "- `name`" or "- `name(...)`".
+    documented = re.findall(r"^- `(\w+)", section, re.MULTILINE)
+    assert sorted(documented) == sorted(pulselab.__all__)
