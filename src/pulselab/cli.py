@@ -77,9 +77,12 @@ def _write(chunks, output: str | None) -> None:
     """Write text chunks in order to ``output``, or to stdout when it is None."""
     if output is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        raise RunError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _require_finite(results: dict) -> None:

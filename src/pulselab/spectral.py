@@ -31,8 +31,10 @@ __all__ = [
     "mean_omega_numeric",
 ]
 
-# Intensity (relative to peak) below which a sample counts as a spectral null.
-_ZERO_LEVEL = 1e-6
+# How closely, as a share of the flank amplitude, the cubic fit around a
+# local minimum must predict the amplitude there for the minimum to count as
+# a null (see _null).
+_NULL_FIT = 0.05
 
 # Frequency-block size for the direct quadrature loop, which only non-uniform
 # omega grids take; bounds the omega x t work array.
@@ -102,27 +104,24 @@ def fourier_intensity(waveform: SampledWaveform, omega_grid) -> Spectrum:
     Integrates on the caller's time grid (no resampling), so the quadrature
     error is controlled by the caller's sampling density.
 
-    The sum over N times for M frequencies takes one of three paths, chosen
-    from the grids; tests gate both fast paths against the direct quadrature
-    at 1e-12 of the peak:
+    The sum over N times for M frequencies takes one of three paths, which
+    ``_path`` picks from the grids alone.  Tests gate both fast paths against
+    the direct quadrature at 1e-12 of the peak.  "Uniform" below means
+    equally spaced to within a few ulps, as ``np.linspace`` output is.
 
-    - both grids equally spaced to within a few ulps (as ``np.linspace``
-      output is): a chirp-z transform, evaluated in O((N+M) log(N+M)) by
-      Bluestein's FFT convolution;
-    - an equally spaced omega grid with any time grid: angle addition over
-      blocks of ~sqrt(M) frequencies, 2*N*sqrt(M) complex exponentials and
-      one complex matrix product;
-    - any other omega grid: the direct O(N*M) quadrature.
+    - A non-uniform omega grid takes the direct O(N*M) quadrature, the
+      reference.
+    - Both grids uniform, with the chirp phase a*max(N,M)^2/2 (a the product
+      of the two steps) at most ``_CHIRP_PHASE_CAP`` radians, take a chirp-z
+      transform: one Bluestein FFT convolution, O((N+M) log(N+M)).  The cap
+      bounds the chirp's rounding error, which grows with that phase.
+    - Any other uniform omega grid takes a type-1 nonuniform FFT: each time
+      sample spread over 2*_NUFFT_SPREAD points of a grid of L points, L the
+      power of two >= 2M, and one FFT of length L.
     """
     og = np.asarray(omega_grid, dtype=float)
     _check_grid(og, "omega grid")
-    if not _uniform(og):
-        intensity = _direct_intensity(waveform.amp, waveform.t, og)
-    elif _uniform(waveform.t):
-        intensity = _chirp_z_intensity(waveform.amp, waveform.t, og)
-    else:
-        intensity = _blocked_intensity(waveform.amp, waveform.t, og)
-    return Spectrum(og, intensity)
+    return Spectrum(og, _path(waveform.t, og)(waveform.amp, waveform.t, og))
 
 
 # Deviation from an exactly uniform grid, in units of eps * max|x|, below which
@@ -141,6 +140,24 @@ def _uniform(x: np.ndarray) -> bool:
     return bool(np.max(np.abs(x - (x[0] + np.arange(x.size) * h))) <= tol)
 
 
+# Largest chirp phase a*max(N,M)^2/2, in radians, that the chirp-z path is
+# given.  Its error against the direct sum grows with that phase: measured
+# 3e-14 of peak at 3.2e3 rad, 5e-14 at 1.2e4, 2e-13 at 2.1e4, and 4e-12 at
+# 2.1e5 (16 x 200001), which is over the 1e-12 gate.
+_CHIRP_PHASE_CAP = 1e4
+
+def _path(t: np.ndarray, og: np.ndarray):
+    """The kernel ``fourier_intensity`` takes for these grids, by the rule its
+    docstring states."""
+    if not _uniform(og):
+        return _direct_intensity
+    n, m = t.size, og.size
+    chirp_phase = 0.5 * (og[-1] - og[0]) * (t[-1] - t[0]) * max(n, m) ** 2 / ((m - 1) * (n - 1))
+    if chirp_phase <= _CHIRP_PHASE_CAP and _uniform(t):
+        return _chirp_z_intensity
+    return _nufft_intensity
+
+
 def _direct_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
     """Reference path: the trapezoid sum for every omega, in blocks of _CHUNK."""
     intensity = np.empty(og.size)
@@ -152,28 +169,55 @@ def _direct_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndar
     return intensity
 
 
-def _blocked_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
-    """The trapezoid sum on a uniform omega grid by angle addition.
+# Half-width of the NUFFT's Gaussian in grid points: each sample is spread
+# over 2 * _NUFFT_SPREAD points.  14 keeps the error near 1e-14 of peak; 12
+# measured 1e-13 to 4.5e-13.
+_NUFFT_SPREAD = 14
 
-    With omega_m = w0 + (m1*B + m2)*d, B = ceil(sqrt(M)), and offsets
-    s = t - t[0] (a unit-modulus factor exp(-i*omega_m*t[0]) that drops out
-    of |F|^2), exp(-i*omega_m*s_k) = Y[m2, k] * exp(-i*(w0 + m1*B*d)*s_k)
-    with Y[m2, k] = exp(-i*m2*d*s_k), so F_m = (Y @ X)[m2, m1] where X holds
-    the weighted samples times the block-start phases.  Both tables have
-    ~N*sqrt(M) entries.
+
+def _nufft_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """The trapezoid sum on a uniform omega grid by a type-1 nonuniform FFT
+    with Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004).
+
+    With omega_m = w0 + m*d, M0 = M//2, offsets s = t - t[0] and
+    c_k = w_k * amp_k * exp(-i*(w0 + M0*d)*s_k), F_m is, up to a
+    unit-modulus factor that drops out of |F|^2, the 2*pi-periodic sum
+    f(j) = sum_k c_k exp(-i*j*x_k) at j = m - M0 with x_k = d*s_k.  The
+    samples c_k are spread by the periodic Gaussian exp(-x^2/(4*tau)) onto
+    L equally spaced points of [0, 2*pi); one FFT of that grid gives, for
+    |j| < L/2, sqrt(tau/pi) * exp(-j^2*tau) * f(j), and dividing by that
+    factor leaves f(j).  With the oversampling sigma = L/M (>= 2) the
+    width tau = pi*Msp / (M^2 * sigma*(sigma - 1/2)) balances the
+    Gaussian's truncation at Msp = _NUFFT_SPREAD points against aliasing.
     """
     m = og.size
-    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
+    m0 = m // 2
     d = (og[-1] - og[0]) / (m - 1)
     s = t - t[0]
     dt = np.diff(t)
-    w = np.zeros(t.size)
+    w = np.zeros(t.size)  # trapezoid weights
     w[:-1] += 0.5 * dt
     w[1:] += 0.5 * dt
-    y = np.exp(-1j * np.outer(np.arange(b) * d, s))
-    starts = og[0] + np.arange(-(-m // b)) * (b * d)
-    x = (w * amp)[:, None] * np.exp(-1j * np.outer(s, starts))
-    f = (y @ x).T.ravel()[:m]
+    c = w * amp * np.exp(-1j * (og[0] + m0 * d) * s)
+    # The power of two >= 2*M.  A length of exactly 2*M can factor badly
+    # (400002 = 2*3*163*409), which makes its FFT slow.
+    size = 1 << (2 * m - 1).bit_length()
+    sigma = size / m
+    tau = math.pi * _NUFFT_SPREAD / (m * m * sigma * (sigma - 0.5))
+    h = 2.0 * math.pi / size  # grid step
+    u = s * (d / h)  # x_k in grid steps; the Gaussian's period is `size` of them
+    base = np.floor(u)
+    offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
+    g = (u - base)[:, None] - offsets  # each sample's distance to its grid points
+    g *= g
+    g *= -h * h / (4.0 * tau)
+    np.exp(g, out=g)
+    idx = ((base.astype(np.intp)[:, None] + offsets) & (size - 1)).ravel()
+    grid = np.bincount(idx, (g * c.real[:, None]).ravel(), size)
+    grid = grid + 1j * np.bincount(idx, (g * c.imag[:, None]).ravel(), size)
+    j = np.arange(-m0, m - m0)
+    # numpy loads np.fft on first access, so importing pulselab does not pay for it.
+    f = np.fft.fft(grid)[j & (size - 1)] * np.exp(j * j * tau) * (math.sqrt(math.pi / tau) / size)
     return f.real ** 2 + f.imag ** 2
 
 
@@ -188,8 +232,10 @@ def _chirp_z_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.nda
 
     The chirp phase reaches a*max(N,M)^2/2, about the omega span times the t
     span times max(N,M)/(2*min(N,M)), and its rounding sets the error against
-    the direct sum: ~1e-15 of peak at 4096 x 20001, ~1e-10 at 8 x 2000001,
-    both far below the trapezoid rule's own error on such grids.
+    the direct sum: ~1e-15 of peak at 4096 x 20001, but 3e-12 at a lopsided
+    16 x 200001 and ~1e-10 at 8 x 2000001.  So ``fourier_intensity`` does not
+    route such lopsided grids here: above ``_CHIRP_PHASE_CAP`` they take the
+    NUFFT.
     """
     n, m = t.size, og.size
     h = (t[-1] - t[0]) / (n - 1)
@@ -228,43 +274,57 @@ def _crossing(omega, intensity, i_hi, i_lo, level):
     return w0 + (w1 - w0) * (y0 - level) / (y0 - y1)
 
 
-def _null_position(omega, intensity, j, step):
-    # Linear interpolation on the amplitude (sqrt of intensity): intensity is
-    # quadratic at a null, amplitude is locally linear, so extending the
-    # flank through the two samples just before the minimum to zero amplitude
-    # locates the null to a small fraction of a grid step.
-    a, b = j + 2 * step, j + step  # the two flank samples approaching the null
-    if not (0 <= a < omega.size):
-        return omega[j]
-    sa, sb = np.sqrt(intensity[a]), np.sqrt(intensity[b])
-    if sa <= sb:
-        return omega[j]
-    return omega[b] + (omega[b] - omega[a]) * sb / (sa - sb)
+def _null(omega, intensity, i, step):
+    """The first null beyond the peak sample i in direction step (+1 or -1), or
+    None where the spectrum shows none.
+
+    The null is sought at the first local minimum j of the amplitude
+    A = sqrt(I) outward from the peak.  Across a null the amplitude changes
+    sign, so a cubic is fitted to the signed amplitudes +A[j-2s], +A[j-s],
+    -A[j+s], -A[j+2s].  The minimum counts as a null when the cubic predicts
+    |A[j]| to within _NULL_FIT of the largest of those four, and the null is
+    the cubic's root between omega[j-s] and omega[j+s].  A dip that is not a
+    null (two overlapping peaks, say) breaks the cubic's prediction.
+    """
+    side = intensity[i::step]
+    rises = np.flatnonzero(side[1:] > side[:-1])
+    if rises.size == 0 or not 2 <= rises[0] <= side.size - 3:
+        return None  # no minimum, or too few samples around it for the fit
+    j = i + step * int(rises[0])
+    idx = j + step * np.array([-2, -1, 1, 2])
+    scale = omega[j + step] - omega[j]
+    x = (omega[idx] - omega[j]) / scale  # about -2, -1, 1, 2
+    y = np.sqrt(intensity[idx]) * np.array([1.0, 1.0, -1.0, -1.0])
+    c3, c2, c1, c0 = np.linalg.solve(np.vander(x, 4), y).tolist()
+    if abs(abs(c0) - math.sqrt(intensity[j])) > _NULL_FIT * np.max(np.abs(y)):
+        return None
+    lo, hi = float(x[1]), float(x[2])  # the cubic is +A[j-s] > 0 at lo and -A[j+s] <= 0 at hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if ((c3 * mid + c2) * mid + c1) * mid + c0 > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return omega[j] + 0.5 * (lo + hi) * scale
 
 
 def first_zero_halfwidth_numeric(spectrum: Spectrum) -> float:
     """Peak-to-first-null distance estimated from a sampled spectrum.
 
-    Scans outward from the peak on both sides for the first local minimum
-    that drops below 1e-6 of the peak, refines the null position by linear
-    interpolation of the spectral amplitude, and returns the nearer null's
-    distance.
+    Finds the first null on each side of the peak by a cubic fit of the signed
+    amplitude around the first local minimum (``_null``) and returns half the
+    null-to-null distance, which does not depend on where the peak falls
+    between samples.  With a null on one side only, returns that null's
+    distance from the peak sample, which is off by up to half a grid step.
     """
     i = _interior_peak(spectrum)
     omega, intensity = spectrum.omega, spectrum.intensity
-    level = _ZERO_LEVEL * intensity[i]
-    found = []
-    for step in (1, -1):
-        j = i + step
-        while 0 <= j < omega.size:
-            nxt = j + step
-            if intensity[j] < level and not (0 <= nxt < omega.size and intensity[nxt] < intensity[j]):
-                found.append(abs(_null_position(omega, intensity, j, -step) - omega[i]))
-                break
-            j = nxt
-    if not found:
+    left, right = _null(omega, intensity, i, -1), _null(omega, intensity, i, 1)
+    if left is None and right is None:
         raise ValueError("no zero in range of the sampled spectrum")
-    return min(found)
+    if left is None or right is None:
+        return float(abs((right if left is None else left) - omega[i]))
+    return float(0.5 * (right - left))
 
 
 def fwhm(spectrum: Spectrum) -> float:

@@ -114,7 +114,7 @@ class TestSpectrum:
         common = ["--omega-min", "5", "--omega-max", "15", "--points", "11"]
         if jitter is None:
             argv = ["spectrum", "--a0", "1e200", "--omega0", "10", "--tau", "2", *common]
-        else:  # a sampled waveform on a uniform (chirp-z) or jittered (blocked) grid
+        else:  # a sampled waveform on a uniform (chirp-z) or jittered (NUFFT) grid
             t = np.linspace(0.0, 2.0, 64)
             t[1:-1] += jitter * np.sin(np.arange(62))
             amp = 1e200 * np.exp(10j * t)
@@ -154,6 +154,16 @@ class TestSpectrum:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_sampled_width_between_samples(self, capsys, tmp_path):
+        # No omega sample comes near the nulls at 10 +- pi, so a scan for a
+        # sample below 1e-6 of the peak would find none here.
+        wave = write_clean_waveform(tmp_path)
+        code, doc = run_json(capsys, ["spectrum", "--input", str(wave), "--omega-min", "2",
+                                      "--omega-max", "18", "--points", "301"])
+        assert code == 0
+        assert doc["results"]["first_zero_halfwidth"] == pytest.approx(math.pi, rel=1e-5)
+        assert doc["results"]["time_bandwidth_product"] == pytest.approx(2.0 * math.pi, rel=1e-5)
 
     def test_input_mode_ignores_analytic_flags(self, capsys, tmp_path):
         wave = write_clean_waveform(tmp_path)
@@ -281,6 +291,27 @@ class TestRecoil:
     def test_invalid_args(self, capsys):
         assert main(["recoil", "--k", "1", "--n", "0"]) == 2
         assert main(["recoil", "--k", "-1", "--n", "10"]) == 2
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv,name", [
+        (["width", "--omega0", "10", "--tau", "2", "-o"], "o.json"),
+        (["width", "--omega0", "10", "--tau", "2", "--format", "csv", "--output"], "o.csv"),
+        (["recoil", "--k", "1", "--n", "10", "--dump"], "d.csv"),
+    ], ids=["output", "csv-output", "dump"])
+    def test_missing_directory_is_runtime_error(self, capsys, tmp_path, argv, name):
+        path = str(tmp_path / "nodir" / name)
+        assert main([*argv, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_directory_as_output(self, capsys, tmp_path):
+        assert main(["adjust", "--e", "2", "--de", "1", "--t", "1", "-o", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestReproducibility:

@@ -25,7 +25,13 @@ from pulselab import (
     sample_waveform,
     uncertainty_product,
 )
-from pulselab.spectral import _blocked_intensity, _direct_intensity, _uniform
+from pulselab.spectral import (
+    _chirp_z_intensity,
+    _direct_intensity,
+    _nufft_intensity,
+    _path,
+    _uniform,
+)
 
 
 def rect_waveform(a0, omega0, tau, n=4096):
@@ -122,10 +128,11 @@ class TestChirpZGate:
         (2048, 1001, 100.0, 2.5, 1),  # time grid far from the origin
         (2, 2, 0.0, 0.1, 1),
         (3, 7, 0.0, 0.5, 1),
+        (16, 200001, 0.0, 2.5, 200),  # over the chirp phase cap: the NUFFT
     ])
     def test_matches_direct(self, n, m, t0, halfwidths, stride):
         # The direct reference runs on every stride-th omega (the peak included)
-        # to keep the largest shapes fast; the chirp-z path sees the full grid.
+        # to keep the largest shapes fast; fourier_intensity sees the full grid.
         wf = carrier_waveform(n, t0)
         half = halfwidths * np.pi  # first-null half-width 2*pi/tau, tau = 2
         omega = np.linspace(10.0 - half, 10.0 + half, m)
@@ -163,20 +170,25 @@ class TestChirpZGate:
 
 
 class TestBlockedGate:
-    """The angle-addition path, which a uniform omega grid with a non-uniform
-    time grid takes, against the direct quadrature at CHIRP_Z_GATE of the peak.
+    """The nonuniform FFT, which a uniform omega grid takes unless the chirp-z
+    path does, against the direct quadrature at CHIRP_Z_GATE of the peak, on
+    jittered and arbitrary time grids.
 
-    The kernel is called directly, so that grids the dispatch would send to
-    the chirp-z path (N = 2 is always uniform) are covered too."""
+    The kernel is called directly, so that grids the dispatch sends to the
+    chirp-z path (N = 2 is always uniform) are covered too.  The class is
+    named after the angle-addition ("blocked") kernel that the NUFFT
+    replaced, and keeps that name so that its test ids stay stable."""
 
     @pytest.mark.parametrize("n,m,t0,halfwidths,stride", [
         (2048, 1001, 0.0, 2.5, 1),  # the benchmark's jittered spectrum-sampled shape
         (2048, 1001, 100.0, 2.5, 1),
         (2048, 1001, 1000.0, 2.5, 1),
         (2048, 20001, 0.0, 2.5, 20),
-        (512, 1024, 0.0, 2.5, 1),  # M = B^2
-        (512, 6, 0.0, 2.5, 1),  # M a multiple of B = 3
-        (512, 7, 0.0, 2.5, 1),  # M = 7, B = 3: the last block is cut short
+        (8192, 4001, 0.0, 2.5, 8),
+        (4096, 20001, 0.0, 2.5, 20),
+        (512, 1024, 0.0, 2.5, 1),  # M a power of two: L = 2M exactly
+        (512, 6, 0.0, 2.5, 1),
+        (512, 7, 0.0, 2.5, 1),
         (512, 10, 0.0, 2.5, 1),
         (512, 3, 0.0, 2.5, 1),
         (512, 2, 0.0, 0.25, 1),
@@ -188,7 +200,7 @@ class TestBlockedGate:
         wf = jittered_waveform(n, t0)
         half = halfwidths * np.pi
         omega = np.linspace(10.0 - half, 10.0 + half, m)
-        fast = _blocked_intensity(wf.amp, wf.t, omega)[::stride]
+        fast = _nufft_intensity(wf.amp, wf.t, omega)[::stride]
         ref = _direct_intensity(wf.amp, wf.t, omega[::stride])
         assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
@@ -199,17 +211,8 @@ class TestBlockedGate:
         wf = jittered_waveform(2048)
         t = 1e6 + wf.t
         omega = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
-        fast = _blocked_intensity(wf.amp, t, omega)
+        fast = _nufft_intensity(wf.amp, t, omega)
         ref = _direct_intensity(wf.amp, t - t[0], omega)
-        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
-
-    def test_jittered_time_takes_blocked_path(self):
-        wf = jittered_waveform(512)
-        omega = np.linspace(6.0, 14.0, 201)
-        assert _uniform(omega) and not _uniform(wf.t)
-        fast = fourier_intensity(wf, omega).intensity
-        np.testing.assert_array_equal(fast, _blocked_intensity(wf.amp, wf.t, omega))
-        ref = _direct_intensity(wf.amp, wf.t, omega)
         assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
     @settings(max_examples=60, deadline=None)
@@ -228,9 +231,40 @@ class TestBlockedGate:
         amp = np.exp(1j * omega0 * t) * (1.0 + noise * (rng.normal(size=t.size)
                                                          + 1j * rng.normal(size=t.size)))
         omega = np.linspace(omega0 - half, omega0 + half, 2 * k + 1)
-        fast = _blocked_intensity(amp, t, omega)
+        fast = _nufft_intensity(amp, t, omega)
         ref = _direct_intensity(amp, t, omega)
         assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
+
+
+SPAN = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
+WIDE_SPAN = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 200001)
+
+
+class TestPathRule:
+    """fourier_intensity returns, bit for bit, what the kernel ``_path`` picks
+    returns for shapes of both classes of uniform omega grids, within
+    CHIRP_Z_GATE of the direct sum.  test_non_uniform_grids_take_direct_path
+    pins the third class."""
+
+    @pytest.mark.parametrize("wf,omega,kernel,stride", [
+        (carrier_waveform(2048), SPAN, _chirp_z_intensity, 1),
+        (jittered_waveform(2048), SPAN, _nufft_intensity, 1),
+        (jittered_waveform(512), np.linspace(6.0, 14.0, 201), _nufft_intensity, 1),
+        (carrier_waveform(16), WIDE_SPAN, _nufft_intensity, 200),  # over the chirp phase cap
+        (jittered_waveform(16), WIDE_SPAN, _nufft_intensity, 200),
+    ], ids=["uniform-2048x1001", "jittered-2048x1001", "jittered-512x201", "uniform-16x200001",
+            "jittered-16x200001"])
+    def test_path(self, wf, omega, kernel, stride):
+        assert _path(wf.t, omega) is kernel
+        fast = fourier_intensity(wf, omega).intensity
+        np.testing.assert_array_equal(fast, kernel(wf.amp, wf.t, omega))
+        ref = _direct_intensity(wf.amp, wf.t, omega[::stride])
+        assert np.max(np.abs(fast[::stride] - ref)) <= CHIRP_Z_GATE * ref.max()
+
+
+# Relative bound on a sampled first-null half-width at >= 7 samples per
+# half-width; 5x the worst error measured there.
+WIDTH_RTOL = 5e-3
 
 
 class TestWidths:
@@ -250,6 +284,26 @@ class TestWidths:
         step = omega[1] - omega[0]
         assert first_zero_halfwidth_numeric(spec) == pytest.approx(2.0 * np.pi / tau, abs=step)
 
+    @settings(max_examples=60, deadline=None)
+    @given(tau=st.floats(1.0, 4.0), omega0=st.floats(5.0, 40.0), below=st.floats(1.5, 3.5),
+           above=st.floats(1.5, 3.5), per_halfwidth=st.floats(7.0, 200.0), jittered=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_numeric_first_zero_on_any_grid(self, tau, omega0, below, above, per_halfwidth, jittered, seed):
+        # The omega grid runs from `below` to `above` half-widths either side of
+        # omega0 with `per_halfwidth` points per half-width, so a null falls
+        # anywhere between samples.  A scan for a sample near zero would take
+        # the second null here (a width of 4*pi/tau) or find none.  The worst
+        # error measured over this space was 1.0e-3, at 7 points per half-width.
+        t = np.linspace(0.0, tau, 2048)
+        if jittered:
+            t[1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, t.size - 2) * (t[1] - t[0])
+        half = 2.0 * np.pi / tau
+        points = int((below + above) * per_halfwidth) + 1
+        start = omega0 - below * half
+        omega = np.linspace(start, start + (points - 1) * half / per_halfwidth, points)
+        spec = fourier_intensity(SampledWaveform(t, 1.3 * np.exp(1j * omega0 * t)), omega)
+        assert first_zero_halfwidth_numeric(spec) == pytest.approx(half, rel=WIDTH_RTOL)
+
     def test_numeric_first_zero_monotone_errors(self):
         omega = np.linspace(0.0, 1.0, 50)
         with pytest.raises(ValueError):
@@ -259,6 +313,14 @@ class TestWidths:
         omega = np.linspace(-1.0, 1.0, 201)
         with pytest.raises(ValueError, match="no zero"):
             first_zero_halfwidth_numeric(Spectrum(omega, np.exp(-omega ** 2)))
+
+    def test_numeric_first_zero_dip_is_not_a_null(self):
+        # Two overlapping peaks: the dip between them is a local minimum, but
+        # the amplitude does not change sign there, which the cubic fit sees.
+        omega = np.linspace(-4.0, 4.0, 401)
+        intensity = np.exp(-(omega - 1.0) ** 2) + 0.8 * np.exp(-(omega + 1.0) ** 2)
+        with pytest.raises(ValueError, match="no zero"):
+            first_zero_halfwidth_numeric(Spectrum(omega, intensity))
 
     @pytest.mark.parametrize("tau", [1.0, 2.0])
     def test_fwhm_rectangular(self, tau):
