@@ -78,6 +78,18 @@ class ProductParts(NamedTuple):
     im: float
 
 
+# Half-width of the two probes around zero from which solve_imag_zero
+# estimates the scale of Im B: large enough that rounding in Im B does not
+# swamp their second difference, small against the roots of most observables.
+_MODEL_STEP = 1e-4
+# The ladder starts at this share of the estimated root scale, so its first
+# rung stays below the nearest root unless the model overestimates that
+# root's distance more than sixfold.
+_LADDER_START = 1.0 / 6.0
+_TRACE = 4  # probes quoted in a failure message
+_EPS = math.ulp(1.0)
+
+
 def solve_imag_zero(
     obs: ComplexObservable,
     zeta_max: float | None = None,
@@ -85,11 +97,22 @@ def solve_imag_zero(
 ) -> AdjustmentResult:
     """Find the root of zeta -> Im B(x0 + i*zeta) with smallest |zeta|.
 
-    Brackets by geometric expansion outward from zero (factor 2, starting
-    at +-tol; the positive side is probed first at each scale), then
-    refines by alternating secant and bisection steps until
-    |Im B| <= tol * max(1, |B|).  The observable is invoked sequentially;
-    the call count is reported in the result.
+    Probes Im B at 0 and +-d (d = 1e-4, or zeta_max if smaller) and takes r,
+    the smaller of the two scales at which the linear term alone, or the
+    quadratic term alone, of the model through those three values equals
+    |Im B(0)|.  It then brackets by geometric expansion outward from zero,
+    factor 2, starting at r/6 (at least tol; the +-d probes are the first
+    rung when r is unknown or r/6 > d, and the ladder then goes on at r/6 or
+    2d).  The positive side is probed first at each scale, and the first
+    sign change found is refined by Chandrupatla's method, started with a
+    false-position step, until |Im B| <= tol * max(1, |B|).
+
+    "Smallest |zeta|" is in the ladder's sense: the root bracketed at the
+    smallest rung.  An even number of roots inside the first rung, or
+    inside one octave of the ladder, goes undetected, and with roots on
+    both sides within one rung the positive one wins.  The observable is
+    invoked sequentially; the call count is reported in the result, and a
+    failure message ends with the last few probes as (zeta, Im B).
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive")
@@ -98,31 +121,56 @@ def solve_imag_zero(
     if not (zeta_max > 0.0 and math.isfinite(zeta_max)):
         raise ValueError("zeta_max must be positive")
 
-    evaluations = 0
+    probes = []  # (zeta, Im B) of every evaluation, in order
 
     def probe(zeta: float) -> complex:
-        nonlocal evaluations
-        evaluations += 1
         b = complex(obs.evaluate(complex(obs.x0, zeta)))
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
             raise EvaluationFailure(
                 f"evaluation failure: B({obs.x0!r} + {zeta!r}i) = {b!r}"
             )
+        probes.append((zeta, b.imag))
         return b
 
     def converged(b: complex) -> bool:
         return abs(b.imag) <= tol * max(1.0, abs(b))
 
     def result(zeta: float, b: complex) -> AdjustmentResult:
-        return AdjustmentResult(zeta, b.real, abs(b.imag), evaluations)
+        return AdjustmentResult(zeta, b.real, abs(b.imag), len(probes))
+
+    def trace() -> str:
+        return "; last probes (zeta, Im B): " + ", ".join(
+            f"({z!r}, {f:.6g})" for z, f in probes[-_TRACE:]
+        )
 
     b0 = probe(0.0)
     if converged(b0):
         return result(0.0, b0)
+    f0 = b0.imag
+    d = min(_MODEL_STEP, zeta_max)
+    near = {}
+    for side in (1, -1):
+        b = probe(side * d)
+        if converged(b):
+            return result(side * d, b)
+        near[side] = b.imag
+    # The model Im B ~ f0 + slope*zeta + quad*zeta**2 through the three probes
+    slope = (near[1] - near[-1]) / (2.0 * d)
+    quad = (near[1] - 2.0 * f0 + near[-1]) / (2.0 * d * d)
+    scales = [abs(f0 / slope)] if slope else []
+    if quad:
+        scales.append(math.sqrt(abs(f0 / quad)))
+    r = min((x for x in scales if 0.0 < x < math.inf), default=None)
 
     bracket = None
-    last = {1: (0.0, b0.imag), -1: (0.0, b0.imag)}
-    h = min(tol, zeta_max)
+    last = {1: (0.0, f0), -1: (0.0, f0)}
+    h = 2.0 * d if r is None else max(_LADDER_START * r, tol)
+    if h > d:  # +-d lie below the ladder's start: they are its first rung
+        for side in (1, -1):
+            if bracket is None and (near[side] > 0.0) != (f0 > 0.0):
+                bracket = (0.0, f0, side * d, near[side])
+            last[side] = (side * d, near[side])
+    h = min(h, zeta_max)
     while bracket is None:
         for side in (1, -1):
             z = side * h
@@ -139,32 +187,40 @@ def solve_imag_zero(
             if h >= zeta_max:
                 raise NoRootInRange(
                     f"no root in range: Im B keeps its sign for |zeta| <= {zeta_max!r}"
+                    + trace()
                 )
             h = min(2.0 * h, zeta_max)
 
+    # Chandrupatla 1997: a is the newest point, b the end of opposite sign,
+    # c the end just dropped; inverse quadratic interpolation where the
+    # three points allow it, bisection where not.
     a, fa, b_end, fb = bracket
-    use_secant = True
+    t = fa / (fa - fb)  # false position: exact on a linear Im B
     for _ in range(300):
-        lo, hi = (a, b_end) if a < b_end else (b_end, a)
-        z = None
-        if use_secant and fb != fa:
-            z = b_end - fb * (b_end - a) / (fb - fa)
-        if z is None or not (lo < z < hi):
-            z = 0.5 * (lo + hi)
-        use_secant = not use_secant
-        if z == lo or z == hi:
+        lim = 4.0 * _EPS * max(abs(a), abs(b_end)) / abs(b_end - a)
+        if lim >= 0.5:
             break  # bracket exhausted at float resolution
+        z = a + min(max(lim, t), 1.0 - lim) * (b_end - a)  # a NaN t gives lim
         bv = probe(z)
         if converged(bv):
             return result(z, bv)
         f = bv.imag
         if (f > 0.0) == (fa > 0.0):
-            a, fa = z, f
+            c, fc = a, fa
         else:
-            b_end, fb = z, f
+            c, fc = b_end, fb
+            b_end, fb = a, fa
+        a, fa = z, f
+        xi = (a - b_end) / (c - b_end)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b_end - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
     raise EvaluationFailure(
-        "root refinement stalled before reaching the residual tolerance; "
-        "is Im B continuous across the bracket?"
+        "root refinement stalled before reaching the residual tolerance "
+        "(is Im B continuous across the bracket?)" + trace()
     )
 
 

@@ -173,8 +173,11 @@ def _read_waveform(path: str) -> SampledWaveform:
             with warnings.catch_warnings():
                 # SampledWaveform refuses an empty body below; numpy's warning would only repeat it.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(fh, delimiter=",", usecols=[column[name] for name in names],
-                                  ndmin=2, comments=None, quotechar='"')
+                try:
+                    body = np.loadtxt(fh, delimiter=",", usecols=[column[name] for name in names],
+                                      ndmin=2, comments=None, quotechar='"')
+                except ValueError as exc:
+                    raise ValueError(_bad_value(path, column, names) or exc) from exc
         t, *parts = body.T
         amp = np.zeros(len(t), complex)  # complex(re, im), or complex(amp, 0.0)
         amp.real = parts[0]
@@ -183,6 +186,41 @@ def _read_waveform(path: str) -> SampledWaveform:
         return SampledWaveform(t, amp)
     except (OSError, ValueError, csv.Error) as exc:
         raise RunError(f"cannot read waveform {path}: {exc}") from exc
+
+
+def _bad_value(path: str, column: dict, names: tuple) -> str | None:
+    """Where the body of a waveform file fails to parse, as "line N, column
+    NAME: ...", or None if a re-read with ``csv`` finds nothing wrong.
+
+    Called only after ``np.loadtxt`` has refused the body: numpy's row number
+    counts neither the header nor blank lines, and starts at 0 for a value
+    that does not parse but at 1 for a short row.  A value passes when it
+    passes ``np.loadtxt``: ``float()``'s syntax in ASCII, without ``_``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader)
+            for row in reader:
+                if not row:
+                    continue  # np.loadtxt skips blank lines
+                for name in names:
+                    where = f"line {reader.line_num}, column {name}"
+                    if column[name] >= len(row):
+                        return f"{where}: missing (the row has {len(row)} fields)"
+                    if not _is_number(row[column[name]]):
+                        return f"{where}: {row[column[name]]!r} is not a number"
+        except csv.Error:
+            pass
+    return None
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
 
 
 def _omega_grid(args) -> np.ndarray:

@@ -315,7 +315,9 @@ def first_zero_halfwidth_numeric(spectrum: Spectrum) -> float:
     amplitude around the first local minimum (``_null``) and returns half the
     null-to-null distance, which does not depend on where the peak falls
     between samples.  With a null on one side only, returns that null's
-    distance from the peak sample, which is off by up to half a grid step.
+    distance from the peak, placed at the vertex of the parabola through the
+    amplitudes sqrt(I) at the peak sample and its two neighbours
+    (``_vertex``).
     """
     i = _interior_peak(spectrum)
     omega, intensity = spectrum.omega, spectrum.intensity
@@ -323,8 +325,19 @@ def first_zero_halfwidth_numeric(spectrum: Spectrum) -> float:
     if left is None and right is None:
         raise ValueError("no zero in range of the sampled spectrum")
     if left is None or right is None:
-        return float(abs((right if left is None else left) - omega[i]))
+        return float(abs((right if left is None else left) - _vertex(omega, intensity, i)))
     return float(0.5 * (right - left))
+
+
+def _vertex(omega, intensity, i):
+    """The vertex of the parabola through (omega, sqrt(I)) at samples i-1, i and
+    i+1 (any spacing), or omega[i] where the three amplitudes are equal."""
+    x0, x1, x2 = omega[i - 1:i + 2].tolist()
+    y0, y1, y2 = np.sqrt(intensity[i - 1:i + 2]).tolist()
+    left, right = (x1 - x0) * (y1 - y2), (x2 - x1) * (y1 - y0)
+    if left + right == 0.0:
+        return x1
+    return x1 - 0.5 * ((x1 - x0) * left - (x2 - x1) * right) / (left + right)
 
 
 def fwhm(spectrum: Spectrum) -> float:

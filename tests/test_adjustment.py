@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pulselab import (
@@ -92,6 +97,84 @@ class TestSolveImagZero:
             solve_imag_zero(linear_obs(1.0, 1.0, 1.0), tol=0.0)
         with pytest.raises(ValueError):
             solve_imag_zero(linear_obs(1.0, 1.0, 1.0), zeta_max=-1.0)
+
+
+def im_b(f):
+    """An observable whose imaginary part is f(zeta) and real part 1."""
+    return ComplexObservable(lambda z: complex(1.0, f(z.imag)), 0.0)
+
+
+def scan_oracle(obs, span, step=1e-2):
+    """brentq on the sign change nearest zero found by a dense scan of Im B."""
+    f = lambda zeta: obs.evaluate(complex(obs.x0, zeta)).imag
+    grid = np.arange(-span, span + step / 2, step)
+    values = np.array([f(z) for z in grid])
+    changes = np.flatnonzero(np.sign(values[1:]) != np.sign(values[:-1]))
+    i = min(changes, key=lambda k: min(abs(grid[k]), abs(grid[k + 1])))
+    return brentq(f, grid[i], grid[i + 1], xtol=1e-14)
+
+
+class TestSolverBracket:
+    def test_zero_slope_at_origin(self):
+        # Im B = cos(zeta) - 0.5 has slope 0 at zero; roots at +-pi/3
+        res = solve_imag_zero(im_b(lambda zeta: math.cos(zeta) - 0.5))
+        assert res.zeta == pytest.approx(math.pi / 3, abs=1e-10)
+
+    def test_nearest_of_three_roots(self):
+        res = solve_imag_zero(im_b(lambda zeta: (zeta - 0.1) * (zeta - 0.2) * (zeta + 5.0)))
+        assert res.zeta == pytest.approx(0.1, abs=1e-10)
+
+    @pytest.mark.parametrize("root", [1e-9, -1e-9, 1e4, -1e4])
+    def test_roots_far_from_unit_scale(self, root):
+        # (1 - i*root) * z at x0 = 1: Im B = zeta - root
+        res = solve_imag_zero(ComplexObservable(lambda z: complex(1.0, -root) * z, 1.0))
+        assert res.zeta == pytest.approx(root, rel=1e-10)
+        assert res.residual_im <= 1e-12 * max(1.0, abs(complex(1.0, -root) * complex(1.0, res.zeta)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.floats(0.5, 5.0), ratio=st.floats(0.05, 2.0), t=st.floats(0.1, 1.0),
+           nonlinear=st.booleans())
+    def test_matches_dense_scan(self, e, ratio, t, nonlinear):
+        """The benchmark's two observable families against brentq."""
+        if nonlinear:
+            obs = ComplexObservable(lambda z: cmath.exp(1j * z) * (e + z), t)
+        else:
+            obs = ComplexObservable(lambda z: complex(e, ratio * e) * z, t)
+        res = solve_imag_zero(obs)
+        b = obs.evaluate(complex(t, res.zeta))
+        assert res.residual_im == abs(b.imag) <= 1e-12 * max(1.0, abs(b))
+        assert res.zeta == pytest.approx(scan_oracle(obs, span=12.0), abs=1e-10)
+
+    def test_no_root_message_ends_with_probes(self):
+        with pytest.raises(NoRootInRange, match=r"last probes \(zeta, Im B\): .*\(-10\.0, 1\)$"):
+            solve_imag_zero(ComplexObservable(lambda z: 1j, 0.0), zeta_max=10.0)
+
+    def test_stalled_message_ends_with_probes(self):
+        # Im B jumps from -1 to +1 at 0.3: the bracket closes on 0.3 at float
+        # resolution without the residual ever falling
+        obs = im_b(lambda zeta: 1.0 if zeta > 0.3 else -1.0)
+        with pytest.raises(EvaluationFailure, match=r"stalled.*last probes \(zeta, Im B\): \(0\.(2999|3)\d*, -?1\)"):
+            solve_imag_zero(obs)
+
+
+# Each observable of the solver's evaluation table, with x0.  A ladder started
+# at +-tol takes 64-100 evaluations on these and one started at the
+# observable's own scale 12-20, so a budget of 25 catches the long ladder.
+BUDGET_CASES = {
+    "(2+i)z": (lambda z: (2.0 + 1.0j) * z, 1.0),
+    "exp(iz)(3+z)": (lambda z: cmath.exp(1j * z) * (3.0 + z), 0.7),
+    "(1e3+i)z": (lambda z: (1e3 + 1.0j) * z, 1.0),
+    "(5+0.3i)z": (lambda z: (5.0 + 0.3j) * z, 2.0),
+    "exp(z)+(1+2i)z": (lambda z: np.exp(z) + (1.0 + 2.0j) * z, 0.7),
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_CASES)
+def test_evaluation_budget(name):
+    evaluate, x0 = BUDGET_CASES[name]
+    res = solve_imag_zero(ComplexObservable(evaluate, x0))
+    assert res.evaluations <= 25
+    assert solve_imag_zero(ComplexObservable(evaluate, x0)) == res
 
 
 class TestClosedForms:

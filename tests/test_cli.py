@@ -625,6 +625,20 @@ class TestWaveformReader:
         assert captured.err.startswith("error: ") and str(path) in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("text,where", [
+        ("t,re,im\n0,x,0\n0.5,1,0\n", "line 2, column re: 'x' is not a number"),
+        ("t,re,im\n0,1,0\n0.5,1\n1,1,0\n", "line 3, column im: missing (the row has 2 fields)"),
+        ("t,re,im\n0,1,0\n\n0.5,1_0,0\n", "line 4, column re: '1_0' is not a number"),
+        ('t,re,im\n0,1,0\n"0.5\n",1,0\n1,1,x\n', "line 5, column im: 'x' is not a number"),
+        ("t,amp,re\n0,1,x\n1,y,0\n", "line 3, column amp: 'y' is not a number"),
+    ], ids=["value-on-line-2", "short-row-on-line-3", "after-blank-line", "after-quoted-newline",
+            "unread-column-skipped"])
+    def test_bad_value_names_file_line_and_column(self, capsys, tmp_path, text, where):
+        path = tmp_path / "wave.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+        assert capsys.readouterr().err == f"error: cannot read waveform {path}: {where}\n"
+
     @pytest.mark.parametrize("text", ["t,re,im\n", "t,re,im\n\n\n", "t,re,im\n0,1,0\n"])
     def test_too_few_rows_message(self, capsys, tmp_path, text):
         path = tmp_path / "wave.csv"

@@ -304,6 +304,19 @@ class TestWidths:
         spec = fourier_intensity(SampledWaveform(t, 1.3 * np.exp(1j * omega0 * t)), omega)
         assert first_zero_halfwidth_numeric(spec) == pytest.approx(half, rel=WIDTH_RTOL)
 
+    @pytest.mark.parametrize("grid", ["uniform", "jittered", "stretched"])
+    def test_numeric_first_zero_one_side(self, grid):
+        # The grid starts above the lower null (10 - pi), so the half-width is
+        # measured from the peak; the peak sample sits 2.4e-3 of pi off it.
+        t = np.linspace(0.0, 2.0, 2048)
+        omega = np.linspace(8.01, 16.0, 301)
+        if grid == "jittered":
+            omega[1:-1] += np.random.default_rng(1).uniform(-0.3, 0.3, 299) * (omega[1] - omega[0])
+        elif grid == "stretched":
+            omega = 8.01 + 7.99 * np.linspace(0.0, 1.0, 301) ** 1.3
+        spec = fourier_intensity(SampledWaveform(t, np.exp(10j * t)), omega)
+        assert first_zero_halfwidth_numeric(spec) == pytest.approx(np.pi, rel=1e-6)
+
     def test_numeric_first_zero_monotone_errors(self):
         omega = np.linspace(0.0, 1.0, 50)
         with pytest.raises(ValueError):
