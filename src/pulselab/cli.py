@@ -10,7 +10,7 @@ CSV table under ``# key = value`` lines, or a two-row CSV of the results.
 JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
 numbers as ``%.17g``.  Exit codes, mapped in ``main`` alone: 0 success, 1
-runtime/domain error (``RunError`` or a library ``ValueError``), 2 usage error.
+runtime/domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import re
@@ -75,14 +74,16 @@ def _fmt(value) -> str:
 
 def _write(chunks, output: str | None) -> None:
     """Write text chunks in order to ``output``, or to stdout when it is None."""
-    if output is None:
-        sys.stdout.writelines(chunks)
-        return
     try:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        if output is None:
+            sys.stdout.writelines(chunks)
+            # A closed stdout fails here, not at exit: a failed flush leaves the exit-time one nothing to write.
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
-        raise RunError(f"cannot write {output}: {exc.strerror or exc}") from exc
+        raise RunError(f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}") from exc
 
 
 def _require_finite(results: dict) -> None:
@@ -144,12 +145,9 @@ def _emit(config: dict, results: dict, table: dict | None) -> None:
     elif table is not None:
         chunks = chain([_header(config, results)], _csv_table(",".join(table), np.column_stack(tuple(table.values()))))
     else:
-        buf = io.StringIO()
-        buf.write(_header(config))
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(sorted(results))
-        writer.writerow([_fmt(results[k]) for k in sorted(results)])
-        chunks = [buf.getvalue()]
+        # Nothing to quote: the names are identifiers, the values numbers or the generator's name.
+        names = sorted(results)
+        chunks = [_header(config), ",".join(names) + "\n", ",".join(_fmt(results[k]) for k in names) + "\n"]
     _write(chunks, config["output"])
 
 
@@ -243,17 +241,11 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
         # Spectrum refuses what overflows, so numpy's warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             spec = fourier_intensity(waveform, grid)
-        duration = float(waveform.t[-1] - waveform.t[0])
         i_peak = int(np.argmax(spec.intensity))
+        peak, peak_omega = float(spec.intensity[i_peak]), float(spec.omega[i_peak])
         half = first_zero_halfwidth_numeric(spec)
-        summary = {
-            "peak_intensity": float(spec.intensity[i_peak]),
-            "peak_omega": float(spec.omega[i_peak]),
-            "first_zero_halfwidth": half,
-            "fwhm": fwhm(spec),
-            "duration": duration,
-            "time_bandwidth_product": half * duration,
-        }
+        width = fwhm(spec)
+        duration = float(waveform.t[-1] - waveform.t[0])
     else:
         if args.a0 is None or args.omega0 is None or args.tau is None:
             raise UsageError("analytic mode requires --a0, --omega0 and --tau (or use --input)")
@@ -262,15 +254,18 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         spec = Spectrum(grid, analytic_intensity(pulse, grid))
+        peak, peak_omega = peak_intensity(pulse), pulse.omega0
         half = first_zero_halfwidth(pulse)
-        summary = {
-            "peak_intensity": peak_intensity(pulse),
-            "peak_omega": pulse.omega0,
-            "first_zero_halfwidth": half,
-            "fwhm": rectangular_fwhm(pulse.tau),
-            "duration": pulse.tau,
-            "time_bandwidth_product": half * pulse.tau,
-        }
+        width = rectangular_fwhm(pulse.tau)
+        duration = pulse.tau
+    summary = {
+        "peak_intensity": peak,
+        "peak_omega": peak_omega,
+        "first_zero_halfwidth": half,
+        "fwhm": width,
+        "duration": duration,
+        "time_bandwidth_product": half * duration,
+    }
     return summary, {"omega": spec.omega, "intensity": spec.intensity}
 
 
@@ -290,8 +285,6 @@ def cmd_width(args) -> tuple[dict, None]:
 
 
 def cmd_adjust(args) -> tuple[dict, None]:
-    if args.e == 0.0:
-        raise RunError("adjustment undefined for E = 0")
     ce = ComplexEnergy(args.e, args.de)
     results: dict = {}
     if args.mode in ("paper", "both"):
@@ -310,13 +303,11 @@ def cmd_adjust(args) -> tuple[dict, None]:
 def cmd_recoil(args) -> tuple[dict, None]:
     try:
         if args.dump is None:
-            stats, samples = recoil_stats(args.k, args.n, args.seed), None
-        else:
-            stats, samples = stats_and_samples(args.k, args.n, args.seed)
+            return asdict(recoil_stats(args.k, args.n, args.seed)), None
+        stats, samples = stats_and_samples(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if samples is not None:
-        _write(_csv_table("kx,ky,kz", samples), args.dump)
+    _write(_csv_table("kx,ky,kz", samples), args.dump)
     return asdict(stats), None
 
 
@@ -399,7 +390,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (UsageError, RunError, ValueError) as exc:
+    except (UsageError, RunError, ValueError, ZeroDivisionError, MemoryError) as exc:
         # A message can quote a flag or path that holds a line break; the error stays one line.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

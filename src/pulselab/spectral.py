@@ -345,34 +345,16 @@ def fwhm(spectrum: Spectrum) -> float:
     i = _interior_peak(spectrum)
     omega, intensity = spectrum.omega, spectrum.intensity
     half = 0.5 * intensity[i]
-    right = left = None
-    for j in range(i + 1, omega.size):
-        if intensity[j] < half:
-            right = _crossing(omega, intensity, j - 1, j, half)
-            break
-    for j in range(i - 1, -1, -1):
-        if intensity[j] < half:
-            left = _crossing(omega, intensity, j + 1, j, half)
-            break
-    if right is None or left is None:
+    below = np.flatnonzero(intensity < half)
+    right, left = below[below > i], below[below < i]
+    if right.size == 0 or left.size == 0:
         raise ValueError("half-maximum level is not crossed within the grid")
-    return right - left
+    j, k = int(right[0]), int(left[-1])
+    return _crossing(omega, intensity, j - 1, j, half) - _crossing(omega, intensity, k + 1, k, half)
 
 
-def _halfmax_phase() -> float:
-    # root of sin(u)^2 / u^2 = 1/2 on (0, pi), by bisection; u ~ 1.39156
-    lo, hi = 1.0, 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if 2.0 * np.sin(mid) ** 2 > mid * mid:
-            lo = mid
-        else:
-            hi = mid
-
-
-_HALFMAX_PHASE = _halfmax_phase()
+# The root u ~ 1.39156 of sin(u)^2 / u^2 = 1/2 on (0, pi), to within one ulp.
+_HALFMAX_PHASE = 1.3915573782515103
 
 
 def rectangular_fwhm(tau: float) -> float:

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pulselab
 import pulselab.cli
 import pulselab.recoil
 from pulselab import (
@@ -243,9 +247,13 @@ class TestAdjust:
         _, doc = run_json(capsys, ["adjust", "--e", "2", "--de", "1", "--t", "1", "--mode", "consistent"])
         assert "paper_value" not in doc["results"]
 
-    def test_zero_energy(self, capsys):
-        assert main(["adjust", "--e", "0", "--de", "1", "--t", "1"]) == 1
-        assert "E = 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode", ["paper", "consistent", "both"])
+    def test_zero_energy(self, capsys, mode):
+        # Each mode is refused by the first library function it calls.
+        assert main(["adjust", "--e", "0", "--de", "1", "--t", "1", "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: adjustment undefined for E = 0\n"
 
     def test_non_finite_energy_is_usage_error(self, capsys):
         assert main(["adjust", "--e", "nan", "--de", "1", "--t", "1"]) == 2
@@ -311,6 +319,37 @@ class TestUnwritableOutput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_closed_stdout_is_runtime_error(self):
+        # As the console script runs it, with stdout a pipe nobody reads: the
+        # write fails inside main, and Python's flush at exit prints nothing.
+        src = os.path.dirname(os.path.dirname(pulselab.__file__))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from pulselab.cli import main; sys.exit(main())",
+                 "width", "--omega0", "10", "--tau", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+class TestOutOfMemory:
+    # 2**58 samples of 8 bytes is 2 EiB: no machine can map it, so nothing is allocated.
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", "--omega-min", "4", "--omega-max", "16",
+         "--points", str(2 ** 58)],
+        ["recoil", "--k", "1", "--n", str(2 ** 58)],
+    ], ids=["spectrum", "recoil"])
+    def test_unallocatable_request_is_runtime_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
 

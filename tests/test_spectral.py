@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from pulselab import (
     uncertainty_product,
 )
 from pulselab.spectral import (
+    _HALFMAX_PHASE,
     _chirp_z_intensity,
     _direct_intensity,
     _nufft_intensity,
@@ -358,6 +360,19 @@ class TestWidths:
         intensity = 1.0 - 0.1 * omega ** 2  # never falls below half max
         with pytest.raises(ValueError, match="half"):
             fwhm(Spectrum(omega, intensity))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["right-only", "left-only"])
+    def test_fwhm_crossed_on_one_side_only(self, side):
+        omega = side * np.linspace(-0.5, 3.0, 71)[::int(side)]
+        intensity = np.exp(-omega ** 2)  # half max at |omega| = 0.83; the grid stops at 0.5 on one side
+        with pytest.raises(ValueError, match="half"):
+            fwhm(Spectrum(omega, intensity))
+
+    def test_halfmax_phase_within_one_ulp(self):
+        # 2*sin(u)^2 - u^2 has its root in (0, pi) within one ulp of _HALFMAX_PHASE.
+        u = _HALFMAX_PHASE
+        g = [2.0 * math.sin(x) ** 2 - x * x for x in (math.nextafter(u, 0.0), u, math.nextafter(u, 4.0))]
+        assert g[1] == 0.0 or (g[0] > 0.0) != (g[2] > 0.0)
 
     def test_widths_scale_inversely_with_tau(self):
         for tau in [0.5, 1.0]:
