@@ -9,8 +9,8 @@ CSV table under ``# key = value`` lines, or a two-row CSV of the results.
 
 JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
-numbers as ``%.17g``.  Exit codes, mapped in ``main`` alone: 0 success, 1
-runtime/domain error, 2 usage error.
+numbers as ``%.17g``.  The failure policy lives in ``main`` alone: exit codes
+0 success, 1 runtime/domain error, 2 usage error, and no Python warning shown.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class UsageError(Exception):
     """Bad flags or flag values; exit code 2."""
 
 
-class RunError(Exception):
-    """Runtime/domain failure (bad input file, undefined operation); exit code 1."""
-
-
 # Table rows (or JSON array items) formatted per call: output is written in
 # blocks this size, so the transient lists and strings of one block bound the
 # memory emit adds, however long the table.
@@ -83,13 +79,13 @@ def _write(chunks, output: str | None) -> None:
             with open(output, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
     except OSError as exc:
-        raise RunError(f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}") from exc
 
 
 def _require_finite(results: dict) -> None:
     bad = [k for k, v in sorted(results.items()) if isinstance(v, float) and not math.isfinite(v)]
     if bad:
-        raise RunError(f"non-finite result: {', '.join(bad)}")
+        raise ValueError(f"non-finite result: {', '.join(bad)}")
 
 
 def _holds_array(value) -> bool:
@@ -164,18 +160,15 @@ def _read_waveform(path: str) -> SampledWaveform:
         with open(path, newline="", encoding="utf-8") as fh:
             fields = next(csv.reader(fh), [])
             if "t" not in fields or not ({"re", "im"} <= set(fields) or "amp" in fields):
-                raise RunError(f"{path}: expected CSV columns t,re,im or t,amp")
+                raise ValueError("expected CSV columns t,re,im or t,amp")
             # A repeated name means its last column, as in a csv.DictReader row.
             column = {name: i for i, name in enumerate(fields)}
             names = ("t", "amp") if "amp" in column else ("t", "re", "im")
-            with warnings.catch_warnings():
-                # SampledWaveform refuses an empty body below; numpy's warning would only repeat it.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                try:
-                    body = np.loadtxt(fh, delimiter=",", usecols=[column[name] for name in names],
-                                      ndmin=2, comments=None, quotechar='"')
-                except ValueError as exc:
-                    raise ValueError(_bad_value(path, column, names) or exc) from exc
+            try:
+                body = np.loadtxt(fh, delimiter=",", usecols=[column[name] for name in names],
+                                  ndmin=2, comments=None, quotechar='"')
+            except ValueError as exc:
+                raise ValueError(_bad_value(path, column, names) or exc) from exc
         t, *parts = body.T
         amp = np.zeros(len(t), complex)  # complex(re, im), or complex(amp, 0.0)
         amp.real = parts[0]
@@ -183,7 +176,7 @@ def _read_waveform(path: str) -> SampledWaveform:
             amp.imag = parts[1]
         return SampledWaveform(t, amp)
     except (OSError, ValueError, csv.Error) as exc:
-        raise RunError(f"cannot read waveform {path}: {exc}") from exc
+        raise ValueError(f"cannot read waveform {path}: {exc}") from exc
 
 
 def _bad_value(path: str, column: dict, names: tuple) -> str | None:
@@ -238,9 +231,7 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
     grid = _omega_grid(args)
     if args.input is not None:
         waveform = _read_waveform(args.input)
-        # Spectrum refuses what overflows, so numpy's warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            spec = fourier_intensity(waveform, grid)
+        spec = fourier_intensity(waveform, grid)
         i_peak = int(np.argmax(spec.intensity))
         peak, peak_omega = float(spec.intensity[i_peak]), float(spec.omega[i_peak])
         half = first_zero_halfwidth_numeric(spec)
@@ -386,11 +377,15 @@ def main(argv=None) -> int:
         for name, value in config.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
-        _emit(config, *args.func(args))
+        with warnings.catch_warnings():
+            # Inputs are checked for emptiness and results for finiteness, so a
+            # warning (numpy's overflow or empty-input one) would only repeat them.
+            warnings.simplefilter("ignore")
+            _emit(config, *args.func(args))
         return 0
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (UsageError, RunError, ValueError, ZeroDivisionError, MemoryError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError, MemoryError) as exc:
         # A message can quote a flag or path that holds a line break; the error stays one line.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pulselab
@@ -689,6 +689,12 @@ class TestWaveformReader:
         assert capsys.readouterr().err == (
             f"error: cannot read waveform {path}: time grid must be a 1-d grid with at least 2 points\n")
 
+    def test_header_without_t_message(self, capsys, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("time,re,im\n0,1,0\n1,1,0\n")
+        assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+        assert capsys.readouterr().err == f"error: cannot read waveform {path}: expected CSV columns t,re,im or t,amp\n"
+
 
 REQUIRED = {
     "spectrum": {"--omega-min": "4", "--omega-max": "16", "--points": "11", "--a0": "1",
@@ -835,3 +841,99 @@ class TestParserReuse:
         assert [run(argv) for argv in calls] == first
         assert pulselab.cli._parser() is parser
         assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+# Any finite double: subnormals, -0.0 and +-1.7976931348623157e308 included.
+any_double = st.floats(**finite)
+omega_range = st.tuples(any_double, any_double).map(sorted)
+
+# Runs that once leaked numpy warnings onto stderr: (argv, waveform text or None, exit code).
+LEAKS = {
+    "grid-overflow": (["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
+                       "--omega-min=-1e308", "--omega-max=-1e307", "--points", "3"], None, 1),
+    "huge-omega0": (["spectrum", "--a0", "1", "--omega0", "1e300", "--tau", "1e-300", *SPECTRUM_TAIL], None, 0),
+    "huge-tau": (["spectrum", "--a0", "1", "--omega0", "1e-300", "--tau", "1e300",
+                  "--omega-min", "0", "--omega-max", "1e-299", "--points", "11"], None, 1),
+    "time-span-overflow": (["spectrum", *SPECTRUM_TAIL], "t,amp\n-1.7e308,1\n1.7e308,1\n", 1),
+}
+
+
+def flags(**values):
+    """``--name=value`` arguments, so that a negative number reads as a value."""
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+
+
+def reject_constant(name):
+    raise AssertionError(f"stdout holds {name}")
+
+
+def assert_run_contract(argv):
+    """One run ends in exit 0 with a JSON document, or in exit 1 or 2 with
+    one ``error:`` line; either way no Python warning is raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+def write_rows(directory, header, rows):
+    path = directory / "wave.csv"
+    width = 2 if header == "t,amp" else 3
+    path.write_text(header + "\n" + "".join(",".join(map(repr, row[:width])) + "\n" for row in rows))
+    return str(path)
+
+
+class TestRunContract:
+    """Every finite flag value, however extreme, keeps the exit-code contract."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a0=any_double, omega0=any_double, tau=any_double, omega=omega_range, points=st.integers(0, 2000))
+    @example(a0=1.0, omega0=10.0, tau=2.0, omega=(-1e308, -1e307), points=3)
+    @example(a0=1.0, omega0=1e300, tau=1e-300, omega=(4.0, 16.0), points=11)
+    @example(a0=1.0, omega0=1e-300, tau=1e300, omega=(0.0, 1e-299), points=11)
+    def test_analytic_spectrum(self, a0, omega0, tau, omega, points):
+        assert_run_contract(["spectrum", *flags(a0=a0, omega0=omega0, tau=tau, omega_min=omega[0],
+                                                omega_max=omega[1]), f"--points={points}"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(header=st.sampled_from(["t,re,im", "t,amp"]),
+           rows=st.lists(st.tuples(any_double, any_double, any_double), max_size=40),
+           omega=omega_range, points=st.integers(0, 2000))
+    @example(header="t,amp", rows=[(-1.7e308, 1.0, 0.0), (1.7e308, 1.0, 0.0)], omega=(4.0, 16.0), points=11)
+    def test_sampled_spectrum(self, tmp_path_factory, header, rows, omega, points):
+        path = write_rows(tmp_path_factory.mktemp("wave"), header, rows)
+        assert_run_contract(["spectrum", f"--input={path}", *flags(omega_min=omega[0], omega_max=omega[1]),
+                             f"--points={points}"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda omega0, tau, hbar: ["width", *flags(omega0=omega0, tau=tau, hbar=hbar)],
+                  any_double, any_double, any_double),
+        st.builds(lambda e, de, t, mode: ["adjust", *flags(e=e, de=de, t=t), f"--mode={mode}"],
+                  any_double, any_double, any_double, st.sampled_from(["paper", "consistent", "both"])),
+        st.builds(lambda k, n, seed: ["recoil", *flags(k=k, n=n, seed=seed)],
+                  any_double, st.integers(-2, 50), st.integers(-2, 2**64)),
+    ))
+    def test_scalar_commands(self, argv):
+        assert_run_contract(argv)
+
+    @pytest.mark.parametrize("argv,text,code", LEAKS.values(), ids=list(LEAKS))
+    def test_warnings_as_errors(self, capsys, tmp_path, argv, text, code):
+        """Under ``-W error`` too a run ends in its exit code, not a traceback."""
+        if text is not None:
+            (tmp_path / "wave.csv").write_text(text)
+            argv = [*argv, f"--input={tmp_path / 'wave.csv'}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        assert capsys.readouterr().err.count("\n") <= 1

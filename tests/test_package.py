@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import pulselab
 from pulselab import adjustment, recoil, spectral, wavepacket
 
@@ -21,3 +23,10 @@ def test_readme_library_api_lists_every_export():
     # One bullet per name: "- `name`" or "- `name(...)`".
     documented = re.findall(r"^- `(\w+)", section, re.MULTILINE)
     assert sorted(documented) == sorted(pulselab.__all__)
+
+
+def test_version_is_stated_once():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "pulselab.__version__"}
