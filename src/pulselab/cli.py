@@ -36,7 +36,7 @@ from .adjustment import (
     expand_product,
     paper_offset,
 )
-from .recoil import recoil_stats, stats_and_samples
+from .recoil import _draw, _momenta, recoil_stats
 from .spectral import (
     SampledWaveform,
     Spectrum,
@@ -60,6 +60,11 @@ class UsageError(Exception):
 # blocks this size, so the transient lists and strings of one block bound the
 # memory emit adds, however long the table.
 _BLOCK_ROWS = 1 << 12
+
+
+def _blocks(n: int):
+    """Slices that cut ``n`` rows into blocks of at most ``_BLOCK_ROWS``."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
 def _fmt(value) -> str:
@@ -104,8 +109,8 @@ def _json_chunks(value, indent: str = ""):
     sep = ",\n" + indent + "  "
     if isinstance(value, np.ndarray):
         yield "["
-        for start in range(0, len(value), _BLOCK_ROWS):
-            yield (sep if start else sep[1:]) + sep.join(map(repr, value[start:start + _BLOCK_ROWS].tolist()))
+        for rows in _blocks(len(value)):
+            yield (sep if rows.start else sep[1:]) + sep.join(map(repr, value[rows].tolist()))
         yield "\n" + indent + "]"
     elif isinstance(value, dict) and _holds_array(value):
         yield "{"
@@ -123,13 +128,13 @@ def _header(*sections: dict) -> str:
     return "".join(f"# {key} = {_fmt(value)}\n" for section in sections for key, value in sorted(section.items()))
 
 
-def _csv_table(columns: str, table: np.ndarray):
+def _csv_table(columns: str, blocks):
     """Chunks of a CSV table: the ``columns`` line, then one ``%.17g`` row per row
-    of the 2-D float array; ``"%.17g" % x`` is the text ``_fmt(x)`` gives."""
+    of each 2-D float array in ``blocks``; ``"%.17g" % x`` is the text ``_fmt(x)``
+    gives.  A block is made only when its text is due."""
     yield columns + "\n"
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
+    for block in blocks:
+        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
         yield row * len(block) % tuple(block.ravel().tolist())
 
 
@@ -139,7 +144,9 @@ def _emit(config: dict, results: dict, table: dict | None) -> None:
     if config["format"] == "json":
         chunks = chain(_json_chunks({"config": config, "results": {**results, **(table or {})}}), ["\n"])
     elif table is not None:
-        chunks = chain([_header(config, results)], _csv_table(",".join(table), np.column_stack(tuple(table.values()))))
+        columns = list(table.values())
+        blocks = (np.column_stack([c[rows] for c in columns]) for rows in _blocks(len(columns[0])))
+        chunks = chain([_header(config, results)], _csv_table(",".join(table), blocks))
     else:
         # Nothing to quote: the names are identifiers, the values numbers or the generator's name.
         names = sorted(results)
@@ -295,10 +302,12 @@ def cmd_recoil(args) -> tuple[dict, None]:
     try:
         if args.dump is None:
             return asdict(recoil_stats(args.k, args.n, args.seed)), None
-        stats, samples = stats_and_samples(args.k, args.n, args.seed)
+        stats, cos_t, phi = _draw(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write(_csv_table("kx,ky,kz", samples), args.dump)
+    # The momenta of one block at a time: the (n, 3) array is never made.
+    momenta = (_momenta(args.k, cos_t[rows], phi[rows]) for rows in _blocks(args.n))
+    _write(_csv_table("kx,ky,kz", momenta), args.dump)
     return asdict(stats), None
 
 

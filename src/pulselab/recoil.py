@@ -33,22 +33,38 @@ class RecoilStats:
     generator: str = field(default=GENERATOR)
 
 
-def _check_args(k: float, n: int) -> None:
+def _check_args(k: float, n: int, seed: int) -> None:
     if not (np.isfinite(k) and k > 0.0):
         raise ValueError("k must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
 
 
 def _draw_angles(rng: np.random.Generator, n: int):
-    cos_t = 1.0 - rng.random(n)  # uniform on (0, 1]: excludes the z = 0 rim
-    phi = 2.0 * np.pi * rng.random(n)
+    cos_t = rng.random(n)
+    np.subtract(1.0, cos_t, out=cos_t)  # uniform on (0, 1]: excludes the z = 0 rim
+    phi = rng.random(n)
+    np.multiply(2.0 * np.pi, phi, out=phi)
     return cos_t, phi
 
 
 def _momenta(k: float, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    return k * np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+    """Rows k * (sin_t cos_phi, sin_t sin_phi, cos_t), written column by column
+    into the one (n, 3) result; the trig values stay contiguous."""
+    out = np.empty((cos_t.size, 3))
+    sin_t = cos_t * cos_t
+    np.subtract(1.0, sin_t, out=sin_t)
+    np.sqrt(sin_t, out=sin_t)
+    trig = np.cos(phi)
+    np.multiply(sin_t, trig, out=trig)
+    np.multiply(k, trig, out=out[:, 0])
+    np.sin(phi, out=trig)
+    np.multiply(sin_t, trig, out=trig)
+    np.multiply(k, trig, out=out[:, 1])
+    np.multiply(k, cos_t, out=out[:, 2])
+    return out
 
 
 def _stats(k: float, n: int, seed: int, cos_t: np.ndarray) -> RecoilStats:
@@ -57,9 +73,16 @@ def _stats(k: float, n: int, seed: int, cos_t: np.ndarray) -> RecoilStats:
     return RecoilStats(n=n, k=k, mean_kz=mean_kz, std_kz=std_kz, seed=seed)
 
 
+def _draw(k: float, n: int, seed: int) -> tuple[RecoilStats, np.ndarray, np.ndarray]:
+    """One checked draw of n directions: ``(stats, cos_t, phi)``."""
+    _check_args(k, n, seed)
+    cos_t, phi = _draw_angles(np.random.default_rng(seed), n)
+    return _stats(k, n, seed, cos_t), cos_t, phi
+
+
 def momentum_samples(k: float, n: int, seed: int) -> np.ndarray:
     """(n, 3) array of recoil momenta k * direction; |row| = k per sample."""
-    _check_args(k, n)
+    _check_args(k, n, seed)
     return _momenta(k, *_draw_angles(np.random.default_rng(seed), n))
 
 
@@ -69,13 +92,10 @@ def recoil_stats(k: float, n: int, seed: int) -> RecoilStats:
     Draws cos(theta) with the same stream layout as momentum_samples, so a
     per-sample dump made with the same seed matches these statistics.
     """
-    _check_args(k, n)
-    cos_t, _ = _draw_angles(np.random.default_rng(seed), n)
-    return _stats(k, n, seed, cos_t)
+    return _draw(k, n, seed)[0]
 
 
 def stats_and_samples(k: float, n: int, seed: int) -> tuple[RecoilStats, np.ndarray]:
     """``(recoil_stats(k, n, seed), momentum_samples(k, n, seed))`` from one draw."""
-    _check_args(k, n)
-    cos_t, phi = _draw_angles(np.random.default_rng(seed), n)
-    return _stats(k, n, seed, cos_t), _momenta(k, cos_t, phi)
+    stats, cos_t, phi = _draw(k, n, seed)
+    return stats, _momenta(k, cos_t, phi)

@@ -46,8 +46,12 @@ def _check_grid(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a 1-d grid with at least 2 points")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
-    if not np.all(np.diff(x) > 0.0):
+    with np.errstate(over="ignore"):  # an overflowing step is refused below
+        step = np.diff(x)
+    if not np.all(step > 0.0):
         raise ValueError(f"{name} must be strictly increasing")
+    if not np.all(np.isfinite(step)):
+        raise ValueError(f"{name} spacing must be finite")
 
 
 @dataclass(frozen=True)

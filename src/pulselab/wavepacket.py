@@ -57,6 +57,10 @@ def analytic_intensity(pulse: Pulse, omega) -> np.ndarray | float:
     argument reduced by whole periods, so the nulls at
     omega0 +- 2*pi*n/tau land on exact floating-point zeros whenever the
     reduced cycle count is an exact integer.
+
+    Working memory is three float arrays the length of ``omega``, the result
+    among them: the closed form runs in place over every point and the
+    series overwrites the few inside the cutoff.
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -65,22 +69,24 @@ def analytic_intensity(pulse: Pulse, omega) -> np.ndarray | float:
     w = np.atleast_1d(w)
 
     u = w - pulse.omega0
-    x = u * pulse.tau
+    out = u * pulse.tau  # x, the phase span
     a2 = pulse.a0 * pulse.a0
     peak = a2 * pulse.tau * pulse.tau
 
-    out = np.empty_like(x)
-    small = np.abs(x) < _SERIES_CUTOFF
+    small = np.abs(out) < _SERIES_CUTOFF
+    xs = out[small]
 
-    xs = x[small]
+    out /= 2.0 * np.pi  # cycles
+    out -= np.round(out)  # r, cycles past the nearest whole one
+    np.multiply(np.pi, out, out=out)
+    np.sin(out, out=out)  # s
+    np.multiply(out, out, out=out)
+    np.multiply(4.0 * a2, out, out=out)  # 4 a0^2 s^2
+    np.multiply(u, u, out=u)  # u^2
+    # Masked, so that 0/0 at exact resonance is never evaluated.
+    np.divide(out, u, out=out, where=~small)
+
     out[small] = peak * (1.0 - xs * xs / 12.0 + xs ** 4 / 360.0)
-
-    ul = u[~small]
-    cycles = x[~small] / (2.0 * np.pi)
-    r = cycles - np.round(cycles)
-    s = np.sin(np.pi * r)
-    out[~small] = 4.0 * a2 * (s * s) / (ul * ul)
-
     return float(out[0]) if scalar else out
 
 

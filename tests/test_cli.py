@@ -300,6 +300,13 @@ class TestRecoil:
         assert main(["recoil", "--k", "1", "--n", "0"]) == 2
         assert main(["recoil", "--k", "-1", "--n", "10"]) == 2
 
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, dump):
+        argv = ["recoil", "--k", "1", "--n", "10", "--seed", "-1"]
+        assert main(argv + (["--dump", str(tmp_path / "d.csv")] if dump else [])) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("argv,name", [
@@ -409,6 +416,15 @@ def reference_row_csv(config, results):
     return reference_header(config) + buf.getvalue()
 
 
+def assert_same_text(got, want):
+    """``got == want``; a mismatch names its first differing line, since
+    pytest's own diff of two megabyte documents takes many minutes."""
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i + 1} differs: {a[i:i + 1]} != {b[i:i + 1]} ({len(a)} lines, {len(b)} expected)")
+
+
 def run_text(argv):
     """Exit code and stdout of one CLI run, without a pytest fixture."""
     out = io.StringIO()
@@ -455,12 +471,12 @@ class TestEmitGate:
         doc = json.loads(text)
         omega = np.linspace(omega_min, omega_max, points)
         intensity = analytic_intensity(Pulse(a0, omega0, tau), omega)
-        assert text == reference_json(doc, {"omega": omega, "intensity": intensity})
+        assert_same_text(text, reference_json(doc, {"omega": omega, "intensity": intensity}))
         if marker is not None:
             assert marker in text.replace("\n", "").replace(" ", "")
         summary = {k: v for k, v in doc["results"].items() if not isinstance(v, list)}
         config = {**doc["config"], "format": "csv", "output": str(out_csv)}
-        assert out_csv.read_text() == reference_spectrum_csv(config, summary, omega, intensity)
+        assert_same_text(out_csv.read_text(), reference_spectrum_csv(config, summary, omega, intensity))
 
     def test_sampled_spectrum_bytes(self, tmp_path):
         t = np.linspace(0.0, 2.0, 2048)
@@ -508,11 +524,30 @@ class TestEmitGate:
         dump = tmp_path / "dump.csv"
         code, text = run_text(["recoil", "--k", "2.5", "--n", str(n), "--seed", "11", "--dump", str(dump)])
         assert code == 0
-        assert dump.read_text() == reference_table("kx,ky,kz", momentum_samples(2.5, n, 11))
+        assert_same_text(dump.read_text(), reference_table("kx,ky,kz", momentum_samples(2.5, n, 11)))
         stats = recoil_stats(2.5, n, 11)
         assert json.loads(text)["results"] == {
             "n": n, "k": 2.5, "mean_kz": stats.mean_kz, "std_kz": stats.std_kz,
             "seed": 11, "generator": stats.generator}
+
+    @pytest.mark.parametrize("n,block_rows", [(50001, None), (10, 3)])
+    def test_streamed_dump_matches_reference_expressions(self, tmp_path, monkeypatch, n, block_rows):
+        """The dump and the statistics against the draw, the statistics and the
+        momenta written out as whole-array expressions."""
+        if block_rows is not None:
+            monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", block_rows)
+        dump = tmp_path / "dump.csv"
+        code, text = run_text(["recoil", "--k", "2.5", "--n", str(n), "--seed", "11", "--dump", str(dump)])
+        assert code == 0
+        rng = np.random.default_rng(11)
+        cos_t = 1.0 - rng.random(n)
+        phi = 2.0 * np.pi * rng.random(n)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+        momenta = 2.5 * np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+        assert_same_text(dump.read_text(), reference_table("kx,ky,kz", momenta))
+        results = json.loads(text)["results"]
+        assert results["mean_kz"] == 2.5 * float(np.mean(cos_t))
+        assert results["std_kz"] == 2.5 * float(np.std(cos_t, ddof=1))
 
     def test_dump_draws_once(self, tmp_path, monkeypatch):
         calls = []
@@ -688,6 +723,12 @@ class TestWaveformReader:
         assert caught == []  # numpy's empty-input warning would print to stderr
         assert capsys.readouterr().err == (
             f"error: cannot read waveform {path}: time grid must be a 1-d grid with at least 2 points\n")
+
+    def test_overflowing_time_step_message(self, capsys, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("t,amp\n-1.7e308,1\n1.7e308,1\n")
+        assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+        assert capsys.readouterr().err == f"error: cannot read waveform {path}: time grid spacing must be finite\n"
 
     def test_header_without_t_message(self, capsys, tmp_path):
         path = tmp_path / "wave.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pulselab.recoil
 from pulselab import (
     RecoilStats,
     momentum_samples,
@@ -84,3 +85,56 @@ class TestStatsAndSamples:
         stats, samples = stats_and_samples(k, n, seed)
         assert stats == recoil_stats(k, n, seed)
         np.testing.assert_array_equal(samples, momentum_samples(k, n, seed))
+
+
+def reference_draw(k, n, seed):
+    """The draw, statistics and momenta as written before they ran in place:
+    ``(mean_kz, std_kz, (n, 3) momenta)``."""
+    rng = np.random.default_rng(seed)
+    cos_t = 1.0 - rng.random(n)
+    phi = 2.0 * np.pi * rng.random(n)
+    mean_kz = k * float(np.mean(cos_t))
+    std_kz = k * float(np.std(cos_t, ddof=1)) if n > 1 else 0.0
+    return mean_kz, std_kz, reference_momenta(k, cos_t, phi)
+
+
+def reference_momenta(k, cos_t, phi):
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    return k * np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+class TestReferenceGate:
+    """Bit for bit against the reference expressions."""
+
+    @pytest.mark.parametrize("k,n,seed", [(1.0, 1, 13), (2.5, 2, 0), (0.3, 7, 5), (1.3, 10 ** 4, 21),
+                                          (7.0, 50001, 11)])
+    def test_draw_stats_and_samples(self, k, n, seed):
+        mean_kz, std_kz, momenta = reference_draw(k, n, seed)
+        stats, samples = stats_and_samples(k, n, seed)
+        assert (stats.mean_kz, stats.std_kz) == (mean_kz, std_kz)
+        assert recoil_stats(k, n, seed) == stats
+        assert_same_bits(samples, momenta)
+        assert_same_bits(momentum_samples(k, n, seed), momenta)
+
+    @pytest.mark.parametrize("n", [1, 3, 4097])
+    def test_momenta(self, n):
+        rng = np.random.default_rng(n)
+        # the rim cos = 1, the pole-ward cos -> 0, and phi on and off the quadrants
+        cos_t = np.concatenate([[1.0, 5e-324], rng.random(n)])
+        phi = np.concatenate([[0.0, 0.5 * np.pi], 2.0 * np.pi * rng.random(n)])
+        assert_same_bits(pulselab.recoil._momenta(2.5, cos_t, phi), reference_momenta(2.5, cos_t, phi))
+
+    def test_sample_std_of_two(self):
+        # cos_t = 1 - U: the sample (ddof = 1) spread of two draws is |d| / sqrt(2)
+        u = np.random.default_rng(4).random(2)
+        assert recoil_stats(1.0, 2, seed=4).std_kz == pytest.approx(abs(u[0] - u[1]) / np.sqrt(2.0), rel=1e-12)
+
+    def test_negative_seed_names_the_seed(self):
+        for fn in (recoil_stats, momentum_samples, stats_and_samples):
+            with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+                fn(1.0, 10, -1)

@@ -56,6 +56,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             SampledWaveform(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("t", [[-1.7e308, 1.7e308], [-1.5e308, 1e308, 1.5e308]])
+    def test_overflowing_step_refused(self, t):
+        # np.diff gives inf, which passes a bare "> 0" test; the check refuses
+        # it itself, so the overflow reaches the caller as this error alone.
+        with pytest.raises(ValueError, match="^time grid spacing must be finite$"):
+            SampledWaveform(np.array(t), np.ones(len(t), complex))
+        with pytest.raises(ValueError, match="^omega grid spacing must be finite$"):
+            Spectrum(np.array(t), np.ones(len(t)))
+
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 0.5]), np.array([1.0, 1.0]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -120,3 +122,54 @@ class TestPeakIntensity:
     def test_matches_resonance_quadrature(self):
         p = Pulse(2.0, 3.0, 3.0)
         assert peak_intensity(p) == pytest.approx(quad_intensity(p, 3.0), rel=1e-12)
+
+
+def reference_intensity(pulse, omega):
+    """``analytic_intensity`` as it was written before it ran in place: the
+    series and the closed form on boolean-indexed copies."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    u = w - pulse.omega0
+    x = u * pulse.tau
+    a2 = pulse.a0 * pulse.a0
+    peak = a2 * pulse.tau * pulse.tau
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    out[small] = peak * (1.0 - xs * xs / 12.0 + xs ** 4 / 360.0)
+    ul = u[~small]
+    cycles = x[~small] / (2.0 * np.pi)
+    r = cycles - np.round(cycles)
+    s = np.sin(np.pi * r)
+    out[~small] = 4.0 * a2 * (s * s) / (ul * ul)
+    return out
+
+
+class TestAnalyticIntensityGate:
+    """Bit for bit against the reference expressions, on grids that take both
+    branches, cross the series cutoff, and land on exact nulls and resonance."""
+
+    @pytest.mark.parametrize("pulse,omega", [
+        # |x| from 0 through the 1e-4 cutoff to 1e-1, on both sides of resonance
+        (Pulse(1.0, 10.0, 2.0), 10.0 + np.concatenate([-np.geomspace(5e-2, 1e-9, 300), [0.0],
+                                                      np.geomspace(1e-9, 5e-2, 300)])),
+        # exact nulls at 10 + n and resonance at 10
+        (Pulse(3.0, 10.0, 2.0 * np.pi), np.arange(0.0, 21.0)),
+        (Pulse(1.5, 20.0, 3.0), np.linspace(0.5, 40.0, 50001)),
+        (Pulse(-0.7, 1e3, 1e-3), np.linspace(-5e4, 5e4, 4097)),
+        (Pulse(1e-160, 10.0, 2.0), np.linspace(4.0, 16.0, 101)),  # subnormal intensities
+    ], ids=["across-cutoff", "nulls", "wide", "short-pulse", "subnormal"])
+    def test_arrays(self, pulse, omega):
+        got, want = analytic_intensity(pulse, omega), reference_intensity(pulse, omega)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("omega", [10.0, 10.0 + 3e-5, 10.0 + 1e-3, 11.0, 10.0 - np.pi / 2])
+    def test_scalars(self, omega):
+        p = Pulse(1.0, 10.0, 2.0)
+        got = analytic_intensity(p, omega)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == reference_intensity(p, omega).tobytes()
+
+    def test_no_warning_at_resonance(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analytic_intensity(Pulse(1.0, 10.0, 2.0), np.array([9.0, 10.0, 11.0]))[1] == 4.0
