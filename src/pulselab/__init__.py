@@ -1,12 +1,28 @@
 """Finite-duration wave packets: spectra, widths, energy moments, the
 complex-observable adjustment procedure, and hemisphere recoil sampling."""
 
-from . import adjustment, recoil, spectral, wavepacket
+import importlib
+
+from . import adjustment
 from .adjustment import *  # noqa: F403  (each module's __all__ is the public API)
-from .recoil import *  # noqa: F403
-from .spectral import *  # noqa: F403
-from .wavepacket import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = sorted(adjustment.__all__ + recoil.__all__ + spectral.__all__ + wavepacket.__all__)
+# These import numpy, so they load on the first lookup of a name not bound
+# here yet (PEP 562): the adjustment procedure runs without numpy.
+_NUMPY_MODULES = ("recoil", "spectral", "wavepacket")
+
+
+def __getattr__(name: str):
+    modules = [adjustment] + [importlib.import_module(f"{__name__}.{m}") for m in _NUMPY_MODULES]
+    exports = {export: getattr(m, export) for m in modules for export in m.__all__}
+    globals().update(exports, __all__=sorted(exports))
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__():
+    __getattr__("__all__")
+    return sorted(globals())

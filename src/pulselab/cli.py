@@ -11,6 +11,8 @@ JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
 numbers as ``%.17g``.  The failure policy lives in ``main`` alone: exit codes
 0 success, 1 runtime/domain error, 2 usage error, and no Python warning shown.
+numpy and the modules built on it load only in the commands that need them,
+so ``adjust`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import warnings
 from dataclasses import asdict
 from itertools import chain
 
-import numpy as np
-
 from . import __version__
 from .adjustment import (
     ComplexEnergy,
@@ -36,18 +36,6 @@ from .adjustment import (
     expand_product,
     paper_offset,
 )
-from .recoil import _draw, _momenta, recoil_stats
-from .spectral import (
-    SampledWaveform,
-    Spectrum,
-    energy_moments,
-    first_zero_halfwidth,
-    first_zero_halfwidth_numeric,
-    fourier_intensity,
-    fwhm,
-    rectangular_fwhm,
-)
-from .wavepacket import Pulse, analytic_intensity, peak_intensity
 
 __all__ = ["main"]
 
@@ -94,6 +82,8 @@ def _require_finite(results: dict) -> None:
 
 
 def _holds_array(value) -> bool:
+    import numpy as np
+
     return isinstance(value, np.ndarray) or isinstance(value, dict) and any(map(_holds_array, value.values()))
 
 
@@ -106,6 +96,8 @@ def _json_chunks(value, indent: str = ""):
     pure-Python per-item encoder (json uses its C encoder only without indent).
     Everything that holds no array goes to json itself.
     """
+    import numpy as np
+
     sep = ",\n" + indent + "  "
     if isinstance(value, np.ndarray):
         yield "["
@@ -141,9 +133,14 @@ def _csv_table(columns: str, blocks):
 def _emit(config: dict, results: dict, table: dict | None) -> None:
     """Write the run's document to ``config["output"]``, or to stdout when it is None."""
     _require_finite(results)
-    if config["format"] == "json":
-        chunks = chain(_json_chunks({"config": config, "results": {**results, **(table or {})}}), ["\n"])
+    if config["format"] == "json" and table is None:
+        # No table, no array: json writes the whole document, and numpy need not load.
+        chunks = [json.dumps({"config": config, "results": results}, indent=2, sort_keys=True), "\n"]
+    elif config["format"] == "json":
+        chunks = chain(_json_chunks({"config": config, "results": {**results, **table}}), ["\n"])
     elif table is not None:
+        import numpy as np
+
         columns = list(table.values())
         blocks = (np.column_stack([c[rows] for c in columns]) for rows in _blocks(len(columns[0])))
         chunks = chain([_header(config, results)], _csv_table(",".join(table), blocks))
@@ -154,15 +151,20 @@ def _emit(config: dict, results: dict, table: dict | None) -> None:
     _write(chunks, config["output"])
 
 
-def _read_waveform(path: str) -> SampledWaveform:
+def _read_waveform(path: str):
     """The waveform in a CSV file: a header row that names ``t`` and either
     ``re``,``im`` or ``amp`` (``amp`` wins when both are there) among any other
     columns, then one row of numbers per sample.
 
     The header goes through ``csv``; the body is parsed in one C pass by
     ``np.loadtxt``, which reads only the named columns and converts each number
-    with the correctly rounded string-to-double ``float()`` uses.
+    with the correctly rounded string-to-double ``float()`` uses.  Returns a
+    ``SampledWaveform``.
     """
+    import numpy as np
+
+    from .spectral import SampledWaveform
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             fields = next(csv.reader(fh), [])
@@ -221,7 +223,9 @@ def _is_number(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _omega_grid(args) -> np.ndarray:
+def _omega_grid(args):
+    import numpy as np
+
     if args.points < 2:
         raise UsageError("--points must be at least 2")
     if not args.omega_min < args.omega_max:
@@ -235,6 +239,18 @@ def _omega_grid(args) -> np.ndarray:
 
 
 def cmd_spectrum(args) -> tuple[dict, dict]:
+    import numpy as np
+
+    from .spectral import (
+        Spectrum,
+        first_zero_halfwidth,
+        first_zero_halfwidth_numeric,
+        fourier_intensity,
+        fwhm,
+        rectangular_fwhm,
+    )
+    from .wavepacket import Pulse, analytic_intensity, peak_intensity
+
     grid = _omega_grid(args)
     if args.input is not None:
         waveform = _read_waveform(args.input)
@@ -268,6 +284,9 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
 
 
 def cmd_width(args) -> tuple[dict, None]:
+    from .spectral import energy_moments, first_zero_halfwidth, rectangular_fwhm
+    from .wavepacket import Pulse
+
     try:
         pulse = Pulse(1.0, args.omega0, args.tau)
         moments = energy_moments(pulse, args.hbar)
@@ -299,6 +318,8 @@ def cmd_adjust(args) -> tuple[dict, None]:
 
 
 def cmd_recoil(args) -> tuple[dict, None]:
+    from .recoil import _draw, _momenta, recoil_stats
+
     try:
         if args.dump is None:
             return asdict(recoil_stats(args.k, args.n, args.seed)), None

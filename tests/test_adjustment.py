@@ -145,6 +145,13 @@ class TestSolverBracket:
         assert res.residual_im == abs(b.imag) <= 1e-12 * max(1.0, abs(b))
         assert res.zeta == pytest.approx(scan_oracle(obs, span=12.0), abs=1e-10)
 
+    def test_first_rung_brackets_the_negative_side(self):
+        # Im B = 1000*zeta + 0.05: the scale r = 5e-5 puts the ladder's start
+        # at tol = 2e-4, above the +-1e-4 probes, so they are the first rung
+        # and only the -1e-4 one changes sign.
+        res = solve_imag_zero(ComplexObservable(lambda z: (1000.0 + 1.0j) * z, 0.05), tol=2e-4)
+        assert (res.zeta, res.evaluations) == (-5e-05, 4)
+
     def test_no_root_message_ends_with_probes(self):
         with pytest.raises(NoRootInRange, match=r"last probes \(zeta, Im B\): .*\(-10\.0, 1\)$"):
             solve_imag_zero(ComplexObservable(lambda z: 1j, 0.0), zeta_max=10.0)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import pulselab
 import pulselab.cli
 import pulselab.recoil
+import pulselab.spectral
+import pulselab.wavepacket
 from pulselab import (
     Pulse,
     SampledWaveform,
@@ -358,6 +360,28 @@ class TestOutOfMemory:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("argv", [
+        ["adjust", "--e", "2", "--de", "1", "--t", "1"],
+        ["width", "--omega0", "10", "--tau", "2"],
+        ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", "--omega-min", "4", "--omega-max", "16",
+         "--points", "201"],
+        ["recoil", "--k", "1", "--n", "1000", "--seed", "3"],
+    ], ids=["adjust", "width", "spectrum", "recoil"])
+    def test_cold_run_writes_the_warm_document(self, argv):
+        # A fresh process loads numpy and the modules built on it only if the
+        # command needs them; this one has every module loaded already.
+        assert {"pulselab.recoil", "pulselab.spectral", "pulselab.wavepacket"} <= set(sys.modules)
+        src = os.path.dirname(os.path.dirname(pulselab.__file__))
+        cold = subprocess.run([sys.executable, "-m", "pulselab.cli", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (0, "") and out.getvalue().startswith("{")
+        assert (cold.returncode, cold.stdout, cold.stderr) == (code, out.getvalue(), err.getvalue())
 
 
 class TestReproducibility:
@@ -712,6 +736,17 @@ class TestWaveformReader:
         path.write_text(text, encoding="utf-8")
         assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
         assert capsys.readouterr().err == f"error: cannot read waveform {path}: {where}\n"
+
+    def test_field_over_the_csv_limit_keeps_numpy_message(self, capsys, tmp_path):
+        # 200000 characters exceed csv's default field limit (131072), so the
+        # re-read that looks for the bad value stops, and numpy's message stays.
+        path = tmp_path / "wave.csv"
+        path.write_text("t,re,im\n0," + "x" * 200_000 + ",0\n0.5,1,0\n")
+        assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read waveform {path}: could not convert string 'xxx")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["t,re,im\n", "t,re,im\n\n\n", "t,re,im\n0,1,0\n"])
     def test_too_few_rows_message(self, capsys, tmp_path, text):

@@ -1,4 +1,9 @@
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -7,6 +12,16 @@ import pulselab
 from pulselab import adjustment, recoil, spectral, wavepacket
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = ("adjustment", "recoil", "spectral", "wavepacket")
+
+
+def fresh(code: str):
+    """What ``code`` prints as JSON, run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(pulselab.__file__))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_package_exports_every_module_export():
@@ -14,6 +29,48 @@ def test_package_exports_every_module_export():
     assert sorted(pulselab.__all__) == sorted(name for m in modules for name in m.__all__)
     for name in pulselab.__all__:
         assert getattr(pulselab, name) is next(getattr(m, name) for m in modules if name in m.__all__)
+
+
+def test_import_and_adjust_load_no_numpy():
+    code = """
+        import contextlib, io, json, sys
+        import pulselab, pulselab.cli
+        loaded = ["numpy" in sys.modules]
+        for fmt in ("json", "csv"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = pulselab.cli.main(["adjust", "--e", "2", "--de", "1", "--t", "1", "--format", fmt])
+            loaded.append(["numpy" in sys.modules, code])
+        print(json.dumps([loaded, sorted(m for m in sys.modules if m.startswith("pulselab"))]))
+    """
+    loaded, modules = fresh(code)
+    assert loaded == [False, [False, 0], [False, 0]]
+    assert modules == ["pulselab", "pulselab.adjustment", "pulselab.cli"]
+
+
+def test_dir_lists_every_export_and_module_before_any_is_loaded():
+    names = fresh("import json, pulselab; print(json.dumps(dir(pulselab)))")
+    assert len(pulselab.__all__) == 31
+    assert set(pulselab.__all__) | set(MODULES) <= set(names)
+
+
+def test_star_import_binds_each_export_to_its_home_object():
+    code = """
+        import json, pulselab
+        namespace = {}
+        exec("from pulselab import *", namespace)
+        del namespace["__builtins__"]
+        home = {name: m for m in (getattr(pulselab, m) for m in %r) for name in m.__all__}
+        print(json.dumps({name: value is getattr(home[name], name) for name, value in namespace.items()}))
+    """ % (MODULES,)
+    same = fresh(code)
+    assert sorted(same) == sorted(pulselab.__all__)
+    assert all(same.values())
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'pulselab' has no attribute 'no_such_name'"):
+        pulselab.no_such_name  # noqa: B018
+    assert not hasattr(pulselab, "no_such_name")
 
 
 def test_readme_library_api_lists_every_export():

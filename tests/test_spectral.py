@@ -164,6 +164,15 @@ class TestChirpZGate:
         fast = fourier_intensity(wf, omega).intensity
         assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
+    def test_uniform_tolerance_is_a_few_ulps(self):
+        x = np.linspace(0.0, 1.0, 2001)
+        assert _uniform(x)
+        # +-1000 ulps on the interior points: at most 1.1e-13 off, above the
+        # 4 eps (8.9e-16) allowed but inside 4000 eps.
+        x[1:-1] += 1000.0 * np.spacing(x[1:-1]) * (-1.0) ** np.arange(x.size - 2)
+        assert np.all(np.diff(x) > 0.0)
+        assert not _uniform(x)
+
     def test_non_uniform_grids_take_direct_path(self):
         # A non-uniform omega grid takes the direct quadrature, whatever the time grid.
         stretched = 10.0 + 4.0 * np.sinh(np.linspace(-1.0, 1.0, 201)) / np.sinh(1.0)
