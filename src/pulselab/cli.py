@@ -6,6 +6,8 @@ byte-for-byte from its own output.  The subcommand's ``cmd_*`` function turns
 them into ``(results, table)``: scalars by name, and ``None`` or 1-D arrays by
 column name.  ``_emit`` writes JSON (the table's columns among the results), a
 CSV table under ``# key = value`` lines, or a two-row CSV of the results.
+Every JSON document, with a table or without, is written by one writer,
+``_json_chunks``, which is told by the table's keys where the arrays are.
 
 JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
@@ -81,38 +83,34 @@ def _require_finite(results: dict) -> None:
         raise ValueError(f"non-finite result: {', '.join(bad)}")
 
 
-def _holds_array(value) -> bool:
-    import numpy as np
+def _json_chunks(config: dict, results: dict, table: dict):
+    """Chunks of ``json.dumps({"config": config, "results": {**results, **table}},
+    indent=2, sort_keys=True)``, where ``results`` is flat, finite and not
+    empty, and ``table`` holds non-empty 1-D numpy arrays by key.
 
-    return isinstance(value, np.ndarray) or isinstance(value, dict) and any(map(_holds_array, value.values()))
-
-
-def _json_chunks(value, indent: str = ""):
-    """Chunks of ``json.dumps(value, indent=2, sort_keys=True)`` nested at
-    ``indent``, where non-empty 1-D numpy arrays may stand in for lists.
-
-    An array is written as a JSON array of its elements' ``repr``, which is
-    the text json gives a float, joined in blocks instead of through json's
-    pure-Python per-item encoder (json uses its C encoder only without indent).
-    Everything that holds no array goes to json itself.
+    A table key is written as a JSON array of its elements' ``repr``, which is
+    the text json gives a finite float, joined in blocks instead of through
+    json's pure-Python per-item encoder (json uses its C encoder only without
+    indent).  A float result is written as ``float.__repr__`` too, which skips
+    json's per-call cost.  The config and every other value go to json itself.
+    The arrays are known by key, so no numpy is needed here.
     """
-    import numpy as np
-
-    sep = ",\n" + indent + "  "
-    if isinstance(value, np.ndarray):
-        yield "["
-        for rows in _blocks(len(value)):
-            yield (sep if rows.start else sep[1:]) + sep.join(map(repr, value[rows].tolist()))
-        yield "\n" + indent + "]"
-    elif isinstance(value, dict) and _holds_array(value):
-        yield "{"
-        for i, key in enumerate(sorted(value)):
-            yield (sep if i else sep[1:]) + json.dumps(key) + ": "
-            yield from _json_chunks(value[key], indent + "  ")
-        yield "\n" + indent + "}"
-    else:
-        # json escapes newlines inside strings, so every raw one starts a line.
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    # json escapes newlines inside strings, so every raw one starts a line.
+    config_text = json.dumps(config, indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield '{\n  "config": ' + config_text + ',\n  "results": {'
+    sep = ",\n      "
+    for i, key in enumerate(sorted({**results, **table})):
+        yield (",\n    " if i else "\n    ") + json.dumps(key) + ": "
+        if key in table:
+            yield "["
+            for rows in _blocks(len(table[key])):
+                yield (sep if rows.start else sep[1:]) + sep.join(map(repr, table[key][rows].tolist()))
+            yield "\n    ]"
+        elif isinstance(results[key], float):
+            yield float.__repr__(results[key])
+        else:
+            yield json.dumps(results[key])
+    yield "\n  }\n}"
 
 
 def _header(*sections: dict) -> str:
@@ -131,13 +129,13 @@ def _csv_table(columns: str, blocks):
 
 
 def _emit(config: dict, results: dict, table: dict | None) -> None:
-    """Write the run's document to ``config["output"]``, or to stdout when it is None."""
+    """Write the run's document to ``config["output"]``, or to stdout when it is None.
+
+    JSON has one writer, ``_json_chunks``, for every command; a table-less
+    document is the same writer given no arrays."""
     _require_finite(results)
-    if config["format"] == "json" and table is None:
-        # No table, no array: json writes the whole document, and numpy need not load.
-        chunks = [json.dumps({"config": config, "results": results}, indent=2, sort_keys=True), "\n"]
-    elif config["format"] == "json":
-        chunks = chain(_json_chunks({"config": config, "results": {**results, **table}}), ["\n"])
+    if config["format"] == "json":
+        chunks = chain(_json_chunks(config, results, table or {}), ["\n"])
     elif table is not None:
         import numpy as np
 

@@ -46,12 +46,11 @@ def _check_grid(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a 1-d grid with at least 2 points")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
-    with np.errstate(over="ignore"):  # an overflowing step is refused below
-        step = np.diff(x)
-    if not np.all(step > 0.0):
+    if not np.all(x[1:] > x[:-1]):
         raise ValueError(f"{name} must be strictly increasing")
-    if not np.all(np.isfinite(step)):
-        raise ValueError(f"{name} spacing must be finite")
+    # No step of an increasing grid exceeds its span, so this covers every step.
+    if not math.isfinite(float(x[-1]) - float(x[0])):
+        raise ValueError(f"{name} span must be finite")
 
 
 @dataclass(frozen=True)

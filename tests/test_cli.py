@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -467,12 +468,16 @@ class TestEmitGate:
     def test_json_chunks_match_json_dumps(self, monkeypatch, block_rows):
         if block_rows is not None:
             monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", block_rows)
-        value = {"b": {"z": None, "a": "x\ny", "l": [1.5, {"q": []}]}, "e": {}, "c": 3, "d": True,
-                 "a": np.array([-0.0, 1e-320, 1e16, 0.1, 2.5, -3e-7, 7.0]),
-                 "g": {"h": np.array([1.0, 2.0]), "i": {"j": "k"}}}
-        plain = {**value, "a": value["a"].tolist(), "g": {"h": [1.0, 2.0], "i": {"j": "k"}}}
-        text = "".join(pulselab.cli._json_chunks(value))
-        assert text == json.dumps(plain, indent=2, sort_keys=True)
+        config = {"text": 'say "hi"\nto \u00e5ngstr\u00f6m', "none": None, "flag": True, "count": 3,
+                  "x": -1e-05}
+        # Arrays at the first, a middle and the last sorted key; "c" holds one element.
+        table = {"a": np.array([-0.0, 1e-320, 1e16, 0.1, 2.5, -3e-7, 7.0]), "c": np.array([0.5]),
+                 "z": np.arange(7.0)}
+        results = {"b": 1.5, "d": np.float64(0.1), "e": False, "n": 20000, "s": "pcg64", "y": -2.0}
+        for table_part in (table, {"c": table["c"]}, {}):
+            text = "".join(pulselab.cli._json_chunks(config, results, table_part))
+            plain = {**results, **{key: column.tolist() for key, column in table_part.items()}}
+            assert text == json.dumps({"config": config, "results": plain}, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("a0,omega0,tau,omega_min,omega_max,points,marker", [
         # exact-zero nulls at every point but the peak
@@ -691,13 +696,18 @@ class TestWaveformReader:
     @given(times=st.lists(st.floats(**finite), min_size=2, max_size=40, unique=True),
            parts=st.lists(st.floats(**finite), min_size=80, max_size=80),
            spec=st.sampled_from(["repr", "%.17g"]))
+    @example(times=[-1e308, 0.0, 1e308], parts=[1.0] * 80, spec="repr")  # a span that overflows
     def test_random_doubles(self, tmp_path_factory, times, parts, spec):
         t = sorted(times)
         fmt = repr if spec == "repr" else (lambda x: "%.17g" % x)
         path = tmp_path_factory.mktemp("wave") / "wave.csv"
         path.write_text("t,re,im\n" + "".join(
             f"{fmt(ti)},{fmt(parts[2 * i])},{fmt(parts[2 * i + 1])}\n" for i, ti in enumerate(t)))
-        assert_reads_as_reference(path)
+        if math.isfinite(t[-1] - t[0]):
+            assert_reads_as_reference(path)
+        else:
+            with pytest.raises(ValueError, match="time grid span must be finite$"):
+                pulselab.cli._read_waveform(str(path))
 
     @pytest.mark.parametrize("text", [
         "t,re,im\n0,1,0\n0.5,1\n1,1,0\n",  # short row
@@ -761,9 +771,11 @@ class TestWaveformReader:
 
     def test_overflowing_time_step_message(self, capsys, tmp_path):
         path = tmp_path / "wave.csv"
-        path.write_text("t,amp\n-1.7e308,1\n1.7e308,1\n")
-        assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
-        assert capsys.readouterr().err == f"error: cannot read waveform {path}: time grid spacing must be finite\n"
+        # An overflowing step, then a span that overflows in finite steps.
+        for text in ("t,amp\n-1.7e308,1\n1.7e308,1\n", "t,amp\n-1e308,1\n0,1\n1e308,1\n"):
+            path.write_text(text)
+            assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+            assert capsys.readouterr().err == f"error: cannot read waveform {path}: time grid span must be finite\n"
 
     def test_header_without_t_message(self, capsys, tmp_path):
         path = tmp_path / "wave.csv"
@@ -837,6 +849,35 @@ def bad_argv(draw):
     return argv
 
 
+non_finite = st.sampled_from(["nan", "inf", "-inf", "Infinity", "-Infinity"])
+not_positive = st.floats(max_value=0.0, allow_nan=False).map(repr) | non_finite
+# For each command's flags, values out of range or not finite.  REQUIRED's grid
+# runs from --omega-min 4 to --omega-max 16.
+BAD_VALUES = {
+    "--a0": st.sampled_from(["0", "-0.0"]) | non_finite,
+    "--omega0": not_positive,
+    "--tau": not_positive,
+    "--hbar": not_positive,
+    "--k": not_positive,
+    "--omega-min": st.floats(min_value=16.0).map(repr) | non_finite,
+    "--omega-max": st.floats(max_value=4.0).map(repr) | non_finite,
+    "--e": non_finite,
+    "--de": non_finite,
+    "--t": non_finite,
+    "--points": st.integers(max_value=1).map(str) | non_finite,
+    "--n": st.integers(max_value=0).map(str) | non_finite,
+    "--seed": st.integers(max_value=-1).map(str) | non_finite,
+    **{flag: arg_text.filter(lambda s, flag=flag: s not in CHOICE_FLAGS[flag]) for flag in CHOICE_FLAGS},
+}
+
+
+def value_flags(command):
+    """The command's flags that take a number or a choice: all but paths and --help."""
+    parser = pulselab.cli._parser()
+    subparser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return sorted(a.option_strings[0] for a in subparser._actions if a.type in (float, int) or a.choices)
+
+
 class TestConfig:
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_config_is_every_flag_of_the_command(self, command):
@@ -880,6 +921,21 @@ class TestUsageErrors:
         assert (code, out.getvalue()) == (2, "")
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(sorted(REQUIRED)))
+    def test_value_error_names_its_flag(self, data, command):
+        flag = data.draw(st.sampled_from(value_flags(command)))
+        value = data.draw(BAD_VALUES[flag])
+        good = [item for name, text in REQUIRED[command].items() if name != flag for item in (name, text)]
+        argv = [command, *good, f"{flag}={value}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        line = err.getvalue()
+        assert line.startswith("error: ") and line.count("\n") == 1
+        # The flag as a whole word, with or without its dashes: "--omega-min", "tau", "n".
+        assert re.search(rf"(?<![\w-])(--)?{re.escape(flag[2:])}(?![\w-])", line), line
 
 
 class TestParserReuse:

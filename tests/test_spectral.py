@@ -30,9 +30,11 @@ from pulselab.spectral import (
     _HALFMAX_PHASE,
     _chirp_z_intensity,
     _direct_intensity,
+    _null,
     _nufft_intensity,
     _path,
     _uniform,
+    _vertex,
 )
 
 
@@ -56,13 +58,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             SampledWaveform(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("t", [[-1.7e308, 1.7e308], [-1.5e308, 1e308, 1.5e308]])
+    @pytest.mark.parametrize("t", [[-1.7e308, 1.7e308], [-1.5e308, 1e308, 1.5e308], [-1e308, 0.0, 1e308]])
     def test_overflowing_step_refused(self, t):
-        # np.diff gives inf, which passes a bare "> 0" test; the check refuses
-        # it itself, so the overflow reaches the caller as this error alone.
-        with pytest.raises(ValueError, match="^time grid spacing must be finite$"):
+        # An overflowing step (the first two) or a span that overflows in
+        # finite steps (the last) is refused as this error alone.
+        with pytest.raises(ValueError, match="^time grid span must be finite$"):
             SampledWaveform(np.array(t), np.ones(len(t), complex))
-        with pytest.raises(ValueError, match="^omega grid spacing must be finite$"):
+        with pytest.raises(ValueError, match="^omega grid span must be finite$"):
             Spectrum(np.array(t), np.ones(len(t)))
 
     def test_spectrum_validation(self):
@@ -354,6 +356,28 @@ class TestWidths:
         intensity = np.exp(-(omega - 1.0) ** 2) + 0.8 * np.exp(-(omega + 1.0) ** 2)
         with pytest.raises(ValueError, match="no zero"):
             first_zero_halfwidth_numeric(Spectrum(omega, intensity))
+
+    def test_numeric_first_zero_floor_is_not_a_null(self):
+        # A floor under sinc^2 lifts both minima off zero: its amplitude, 0.025,
+        # is 15% of the largest of the four amplitudes the fit takes (0.165),
+        # so the cubic's zero misses the floor by far more than _NULL_FIT.
+        omega = np.linspace(4.0, 16.0, 121)
+        intensity = analytic_intensity(Pulse(1.0, 10.0, 2.0), omega) + 0.025 ** 2
+        with pytest.raises(ValueError, match="no zero"):
+            first_zero_halfwidth_numeric(Spectrum(omega, intensity))
+
+    def test_numeric_first_zero_minimum_next_to_the_edge(self):
+        # The lower null 10 - pi falls between samples 0 and 1, nearer 1, so
+        # the first minimum left of the peak is sample 1.  The fit there would
+        # need sample -1, which numpy would wrap to the last sample; the left
+        # side counts as having no null, and the width is measured from the peak.
+        omega = np.linspace(6.8, 16.0, 101)
+        intensity = analytic_intensity(Pulse(1.0, 10.0, 2.0), omega)
+        i = int(np.argmax(intensity))
+        assert intensity[0] > intensity[1] < intensity[2]
+        right = _null(omega, intensity, i, 1)
+        one_sided = float(abs(right - _vertex(omega, intensity, i)))
+        assert first_zero_halfwidth_numeric(Spectrum(omega, intensity)) == one_sided
 
     @pytest.mark.parametrize("tau", [1.0, 2.0])
     def test_fwhm_rectangular(self, tau):
