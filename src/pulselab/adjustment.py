@@ -12,7 +12,7 @@ and reported side by side; this module does not pick a winner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -39,8 +39,7 @@ class EvaluationFailure(RuntimeError):
     """The observable returned a non-finite value during the solve."""
 
 
-@dataclass(frozen=True)
-class ComplexObservable:
+class ComplexObservable(NamedTuple):
     """A map from one complex argument to one complex value, with the
     nominal real argument ``x0`` at which the continuation starts."""
 
@@ -48,24 +47,31 @@ class ComplexObservable:
     x0: float = 0.0
 
 
-@dataclass(frozen=True)
-class AdjustmentResult:
+class AdjustmentResult(NamedTuple):
     zeta: float  # imaginary offset added to the argument
     adjusted_value: float  # Re B(x0 + i*zeta)
     residual_im: float  # |Im B(x0 + i*zeta)|
     evaluations: int
 
 
-@dataclass(frozen=True)
-class ComplexEnergy:
-    """Real energy ``e`` plus level width ``de`` (imaginary part), same units."""
-
+class _ComplexEnergyFields(NamedTuple):
     e: float
     de: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.e) and math.isfinite(self.de)):
+
+class ComplexEnergy(_ComplexEnergyFields):
+    """Real energy ``e`` plus level width ``de`` (imaginary part), same units."""
+
+    __slots__ = ()  # no instance dict: immutable like its base
+
+    def __new__(cls, e: float, de: float) -> ComplexEnergy:
+        if not (math.isfinite(e) and math.isfinite(de)):
             raise ValueError("energy components must be finite")
+        return super().__new__(cls, e, de)
+
+    @classmethod
+    def _make(cls, iterable) -> ComplexEnergy:  # _replace goes through here
+        return cls(*iterable)
 
 
 class EnergyAdjustment(NamedTuple):
@@ -112,12 +118,16 @@ def solve_imag_zero(
     inside one octave of the ladder, goes undetected, and with roots on
     both sides within one rung the positive one wins.  The observable is
     invoked sequentially; the call count is reported in the result, and a
-    failure message ends with the last few probes as (zeta, Im B).
+    failure message ends with the last few probes as (zeta, Im B).  A
+    non-finite x0 is refused before the first call.  zeta_max defaults to
+    1e6 * max(1, |x0|), or the largest double if that overflows.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive")
+    if not math.isfinite(obs.x0):
+        raise ValueError("x0 must be finite")
     if zeta_max is None:
-        zeta_max = 1e6 * max(1.0, abs(obs.x0))
+        zeta_max = min(1e6 * max(1.0, abs(obs.x0)), sys.float_info.max)
     if not (zeta_max > 0.0 and math.isfinite(zeta_max)):
         raise ValueError("zeta_max must be positive")
 

@@ -14,20 +14,19 @@ double (``float.__repr__``, as ``json`` writes them); CSV carries the same
 numbers as ``%.17g``.  The failure policy lives in ``main`` alone: exit codes
 0 success, 1 runtime/domain error, 2 usage error, and no Python warning shown.
 numpy and the modules built on it load only in the commands that need them,
-so ``adjust`` runs without numpy.
+and so do ``dataclasses`` (for ``asdict``) and ``csv`` (for ``--input``): neither
+``import pulselab.cli`` nor ``adjust`` loads any of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import re
 import sys
 import warnings
-from dataclasses import asdict
 from itertools import chain
 
 from . import __version__
@@ -159,12 +158,14 @@ def _read_waveform(path: str):
     with the correctly rounded string-to-double ``float()`` uses.  Returns a
     ``SampledWaveform``.
     """
+    import csv
+
     import numpy as np
 
     from .spectral import SampledWaveform
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             fields = next(csv.reader(fh), [])
             if "t" not in fields or not ({"re", "im"} <= set(fields) or "amp" in fields):
                 raise ValueError("expected CSV columns t,re,im or t,amp")
@@ -195,7 +196,9 @@ def _bad_value(path: str, column: dict, names: tuple) -> str | None:
     that does not parse but at 1 for a short row.  A value passes when it
     passes ``np.loadtxt``: ``float()``'s syntax in ASCII, without ``_``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    import csv
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             next(reader)
@@ -282,6 +285,8 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
 
 
 def cmd_width(args) -> tuple[dict, None]:
+    from dataclasses import asdict
+
     from .spectral import energy_moments, first_zero_halfwidth, rectangular_fwhm
     from .wavepacket import Pulse
 
@@ -316,6 +321,8 @@ def cmd_adjust(args) -> tuple[dict, None]:
 
 
 def cmd_recoil(args) -> tuple[dict, None]:
+    from dataclasses import asdict
+
     from .recoil import _draw, _momenta, recoil_stats
 
     try:

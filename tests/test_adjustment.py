@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -86,6 +87,18 @@ class TestSolveImagZero:
     def test_evaluation_failure(self):
         with pytest.raises(EvaluationFailure):
             solve_imag_zero(ComplexObservable(lambda z: complex(np.nan, 1.0), 0.0))
+
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x0_refused_before_evaluating(self, x0):
+        calls = []
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            solve_imag_zero(ComplexObservable(calls.append, x0))
+        assert calls == []
+
+    def test_default_range_near_the_largest_double(self):
+        # 1e6 * |x0| overflows; the default range stops at the largest double.
+        res = solve_imag_zero(linear_obs(2.0, 1.0, 1e303))
+        assert res.zeta == pytest.approx(-5e302, rel=1e-12)
 
     def test_deterministic_including_count(self):
         runs = [solve_imag_zero(linear_obs(2.0, 1.0, 1.0)) for _ in range(2)]
@@ -248,3 +261,42 @@ class TestClosedForms:
             adjusted_energy_paper(ComplexEnergy(0.0, 1.0))
         with pytest.raises(ZeroDivisionError):
             adjusted_energy_consistent(ComplexEnergy(0.0, 1.0), 1.0)
+
+
+# Each record type with one value per field, keyed by field name in field order.
+RECORDS = [
+    (ComplexObservable, {"evaluate": abs, "x0": 0.5}),
+    (AdjustmentResult, {"zeta": 0.25, "adjusted_value": 2.5, "residual_im": 0.0, "evaluations": 7}),
+    (ComplexEnergy, {"e": 2.0, "de": 1.0}),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls,fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+    def test_public_shape(self, cls, fields):
+        assert list(inspect.signature(cls).parameters) == list(fields)
+        record = cls(**fields)
+        assert [getattr(record, name) for name in fields] == list(fields.values())
+        assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+        same = cls(*fields.values())
+        assert record == same and hash(record) == hash(same)
+        assert record != cls(**{**fields, list(fields)[-1]: 3})
+        for name in [*fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+
+    def test_x0_defaults_to_zero(self):
+        assert ComplexObservable(abs).x0 == 0.0
+
+    @pytest.mark.parametrize("e,de", [(math.inf, 1.0), (1.0, math.nan), (-math.inf, -math.inf)])
+    def test_non_finite_energy_refused(self, e, de):
+        with pytest.raises(ValueError, match="^energy components must be finite$"):
+            ComplexEnergy(e, de)
+        with pytest.raises(ValueError, match="^energy components must be finite$"):
+            ComplexEnergy(e=e, de=de)
+
+    def test_replace_checks_like_construction(self):
+        ce = ComplexEnergy(2.0, 1.0)
+        assert ce._replace(de=-1.0) == ComplexEnergy(2.0, -1.0)
+        with pytest.raises(ValueError, match="^energy components must be finite$"):
+            ce._replace(e=math.inf)

@@ -743,9 +743,21 @@ class TestWaveformReader:
             "unread-column-skipped"])
     def test_bad_value_names_file_line_and_column(self, capsys, tmp_path, text, where):
         path = tmp_path / "wave.csv"
-        path.write_text(text, encoding="utf-8")
-        assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
-        assert capsys.readouterr().err == f"error: cannot read waveform {path}: {where}\n"
+        for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes a byte-order mark first
+            path.write_text(text, encoding=encoding)
+            assert main(["spectrum", "--input", str(path), *SPECTRUM_TAIL]) == 1
+            assert capsys.readouterr().err == f"error: cannot read waveform {path}: {where}\n"
+
+    def test_byte_order_mark_reads_as_without(self, capsys, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark.
+        plain = write_clean_waveform(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        grid = ["--omega-min", "2", "--omega-max", "18", "--points", "301"]
+        (code, doc), (bom_code, bom_doc) = (run_json(capsys, ["spectrum", "--input", str(path), *grid])
+                                            for path in (plain, bom))
+        assert code == bom_code == 0
+        assert bom_doc["results"] == doc["results"]
 
     def test_field_over_the_csv_limit_keeps_numpy_message(self, capsys, tmp_path):
         # 200000 characters exceed csv's default field limit (131072), so the
