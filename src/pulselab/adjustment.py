@@ -85,8 +85,12 @@ class ProductParts(NamedTuple):
 
 
 # Half-width of the two probes around zero from which solve_imag_zero
-# estimates the scale of Im B: large enough that rounding in Im B does not
-# swamp their second difference, small against the roots of most observables.
+# estimates the scale of Im B, in units of max(1, |x0|): large enough that
+# rounding in Im B does not swamp their second difference, small against the
+# roots of most observables.  It is relative because Im B is resolved only
+# to ~eps * |B|, which grows with |x0|: past |x0| ~ 1e13 an absolute 1e-4
+# step moves Im B by less than that, no scale shows, and the ladder climbs
+# from 2e-4 in hundreds of steps.
 _MODEL_STEP = 1e-4
 # The ladder starts at this share of the estimated root scale, so its first
 # rung stays below the nearest root unless the model overestimates that
@@ -103,15 +107,16 @@ def solve_imag_zero(
 ) -> AdjustmentResult:
     """Find the root of zeta -> Im B(x0 + i*zeta) with smallest |zeta|.
 
-    Probes Im B at 0 and +-d (d = 1e-4, or zeta_max if smaller) and takes r,
-    the smaller of the two scales at which the linear term alone, or the
-    quadratic term alone, of the model through those three values equals
-    |Im B(0)|.  It then brackets by geometric expansion outward from zero,
-    factor 2, starting at r/6 (at least tol; the +-d probes are the first
-    rung when r is unknown or r/6 > d, and the ladder then goes on at r/6 or
-    2d).  The positive side is probed first at each scale, and the first
-    sign change found is refined by Chandrupatla's method, started with a
-    false-position step, until |Im B| <= tol * max(1, |B|).
+    Probes Im B at 0 and +-d (d = 1e-4 * max(1, |x0|), or zeta_max if
+    smaller) and takes r, the smaller of the two scales at which the linear
+    term alone, or the quadratic term alone, of the model through those
+    three values equals |Im B(0)|.  It then brackets by geometric expansion
+    outward from zero, factor 2, starting at r/6 (at least tol; the +-d
+    probes are the first rung when r is unknown or r/6 > d, and the ladder
+    then goes on at r/6 or 2d).  The positive side is probed first at each
+    scale, and the first sign change found is refined by Chandrupatla's
+    method, started with a false-position step, until
+    |Im B| <= tol * max(1, |B|).
 
     "Smallest |zeta|" is in the ladder's sense: the root bracketed at the
     smallest rung.  An even number of roots inside the first rung, or
@@ -157,7 +162,7 @@ def solve_imag_zero(
     if converged(b0):
         return result(0.0, b0)
     f0 = b0.imag
-    d = min(_MODEL_STEP, zeta_max)
+    d = min(_MODEL_STEP * max(1.0, abs(obs.x0)), zeta_max)
     near = {}
     for side in (1, -1):
         b = probe(side * d)

@@ -1,10 +1,12 @@
 """Command-line front end: spectrum, width, adjust, recoil subcommands.
 
-Each run is one parse -> compute -> emit pass in ``main``.  The parsed flags,
-all of them, become the document's ``config``, so a run can be reproduced
-byte-for-byte from its own output.  The subcommand's ``cmd_*`` function turns
-them into ``(results, table)``: scalars by name, and ``None`` or 1-D arrays by
-column name.  ``_emit`` writes JSON (the table's columns among the results), a
+Each run is one parse -> compute -> emit pass in ``main``.  A command line is
+parsed once, by its command's own parser; the top-level parser sees only the
+lines that do not start with a command name.  The parsed flags, all of them,
+become the document's ``config``, so a run can be reproduced byte-for-byte
+from its own output.  The subcommand's ``cmd_*`` function turns them into
+``(results, table)``: scalars by name, and ``None`` or 1-D arrays by column
+name.  ``_emit`` writes JSON (the table's columns among the results), a
 CSV table under ``# key = value`` lines, or a two-row CSV of the results.
 Every JSON document, with a table or without, is written by one writer,
 ``_json_chunks``, which is told by the table's keys where the arrays are.
@@ -84,8 +86,9 @@ def _require_finite(results: dict) -> None:
 
 def _json_chunks(config: dict, results: dict, table: dict):
     """Chunks of ``json.dumps({"config": config, "results": {**results, **table}},
-    indent=2, sort_keys=True)``, where ``results`` is flat, finite and not
-    empty, and ``table`` holds non-empty 1-D numpy arrays by key.
+    indent=2, sort_keys=True)``, where ``config`` and ``results`` are flat and
+    not empty, ``results`` is finite, and ``table`` holds non-empty 1-D numpy
+    arrays by key.
 
     A table key is written as a JSON array of its elements' ``repr``, which is
     the text json gives a finite float, joined in blocks instead of through
@@ -94,9 +97,10 @@ def _json_chunks(config: dict, results: dict, table: dict):
     json's per-call cost.  The config and every other value go to json itself.
     The arrays are known by key, so no numpy is needed here.
     """
-    # json escapes newlines inside strings, so every raw one starts a line.
-    config_text = json.dumps(config, indent=2, sort_keys=True).replace("\n", "\n  ")
-    yield '{\n  "config": ' + config_text + ',\n  "results": {'
+    # A flat, non-empty dict indented is its compact form with one item a
+    # line, which json's C encoder writes: it runs only without indent.
+    config_text = json.dumps(config, sort_keys=True, separators=(",\n    ", ": "))[1:-1]
+    yield '{\n  "config": {\n    ' + config_text + '\n  },\n  "results": {'
     sep = ",\n      "
     for i, key in enumerate(sorted({**results, **table})):
         yield (",\n    " if i else "\n    ") + json.dumps(key) + ": "
@@ -346,7 +350,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 class _Parser(argparse.ArgumentParser):
     """An argparse parser (subparsers are of the same class) that reads
     ``_NEGATIVE_NUMBER`` as a value and raises argparse's usage errors as
-    ``UsageError``, so ``main`` reports them as one ``error:`` line."""
+    ``UsageError``, so ``main`` reports them as one ``error:`` line.  The
+    top-level one holds its subparsers by command name in ``commands``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -402,12 +407,22 @@ def _parser() -> _Parser:
     rc.add_argument("--dump", default=None, help="per-sample CSV path (columns kx,ky,kz)")
     _add_io_flags(rc)
     rc.set_defaults(func=cmd_recoil)
+    parser.commands = subs.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        if sub is None:  # --help, --version, no command or an unknown one
+            args = parser.parse_args(argv)
+        else:
+            # What the top-level parser would do, without its own pass: the
+            # command's parser gets the rest, and the name becomes ``command``.
+            args = sub.parse_args(argv[1:])
+            args.command = argv[0]
         config = {name: value for name, value in vars(args).items() if name != "func"}
         for name, value in config.items():
             if isinstance(value, float) and not math.isfinite(value):

@@ -197,6 +197,15 @@ def test_evaluation_budget(name):
     assert solve_imag_zero(ComplexObservable(evaluate, x0)) == res
 
 
+@pytest.mark.parametrize("x0", [1e13, 1e15, 1e100, 1e300, -1e200])
+def test_model_step_scales_with_x0(x0):
+    # An absolute +-1e-4 step falls below the resolution of Im B past
+    # |x0| ~ 1e13, and the ladder then took 116 to 2022 evaluations.
+    res = solve_imag_zero(ComplexObservable(lambda z: (2.0 + 1.0j) * z, x0))
+    assert res.zeta == -x0 / 2
+    assert res.evaluations <= 20
+
+
 class TestClosedForms:
     @pytest.mark.parametrize(
         "e,de,t,zeta,value",

@@ -458,6 +458,14 @@ def run_text(argv):
     return code, out.getvalue()
 
 
+def run_captured(argv):
+    """Exit code, stdout and stderr of one CLI run, without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def analytic_argv(a0, omega0, tau, omega_min, omega_max, points):
     return ["spectrum", f"--a0={a0!r}", f"--omega0={omega0!r}", f"--tau={tau!r}",
             f"--omega-min={omega_min!r}", f"--omega-max={omega_max!r}", f"--points={points}"]
@@ -469,7 +477,8 @@ class TestEmitGate:
         if block_rows is not None:
             monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", block_rows)
         config = {"text": 'say "hi"\nto \u00e5ngstr\u00f6m', "none": None, "flag": True, "count": 3,
-                  "x": -1e-05}
+                  "x": -1e-05, "neg_zero": -0.0, "tiny": 5e-324, "big": 1e16, "max": 1.7976931348623157e308,
+                  "output": 'a "q" \\ b\tc\x01d \U0001f600.json'}
         # Arrays at the first, a middle and the last sorted key; "c" holds one element.
         table = {"a": np.array([-0.0, 1e-320, 1e16, 0.1, 2.5, -3e-7, 7.0]), "c": np.array([0.5]),
                  "z": np.arange(7.0)}
@@ -970,21 +979,65 @@ class TestParserReuse:
             ["width", "--omega0", "10", "--tau", "2"],
         ]
 
-        def run(argv):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            return code, out.getvalue(), err.getvalue()
-
         first = []
         for argv in calls:
             pulselab.cli._parser.cache_clear()
-            first.append(run(argv))
+            first.append(run_captured(argv))
         pulselab.cli._parser.cache_clear()
         parser = pulselab.cli._parser()
-        assert [run(argv) for argv in calls] == first
+        assert [run_captured(argv) for argv in calls] == first
         assert pulselab.cli._parser() is parser
         assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+# Command lines whose exit code, stdout and stderr must not depend on which
+# parser reads them: valid ones, help and version, no, unknown and abbreviated
+# commands, "--", extras, and bad, ambiguous and non-finite values.
+ADJUST = ["adjust", "--e", "2", "--de", "1", "--t", "1"]
+DISPATCH_CORPUS = [
+    ADJUST,
+    ["adjust", "--e=-1e-05", "--de", "0.5", "--t", "0.3", "--mode", "paper"],
+    ["adjust", "--mode", "consistent", "--t", "1", "--de", "1", "--e", "2", "--format", "csv"],
+    ["width", "--omega0", "10", "--tau", "2", "--format", "csv"],
+    ["width", "--omega0", "10", "--tau", "2", "--hbar", "0.5"],
+    ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", *SPECTRUM_TAIL],
+    ["recoil", "--k", "1", "--n", "50", "--seed", "3"],
+    ["-h"], ["--help"], ["--version"], ["--vers"],
+    ["adjust", "-h"], ["spectrum", "--help"], ["width", "-h"], ["recoil", "--help"],
+    [], ["adjst"], ["adj"], ["ADJUST"], ["--format", "csv", "adjust"], ["--", *ADJUST],
+    ["adjust", "--", "--e", "2"], [*ADJUST, "extra"], ["adjust", "--version"], [*ADJUST, "--vers"],
+    ["adjust", "--e", "x", "--de", "1", "--t", "1"], ["adjust", "--e", "1", "--de", "1"],
+    ["spectrum", "--omega", "1", *SPECTRUM_TAIL], ["adjust", "--e", "inf", "--de", "nan", "--t", "1"],
+    ["recoil", "--k", "1", "--n", "abc"], ["spectrum", "--points", "3"],
+    ["adjust", "--mode", "bogus", "--e", "2", "--de", "1", "--t", "1"],
+    ["recoil", "--k", "1", "--n", "10", "--seed", "-1"], [*ADJUST, "--output"],
+    ["width", "--omega0", "10", "--tau", "0"], ["width", "--omega0", "1", "--tau", "1", "x\ny"],
+]
+
+
+class TestDispatch:
+    """``main`` hands a command line that starts with a command name to that
+    command's parser alone; the top-level parser, which would hand it on, is
+    the reference."""
+
+    def test_same_as_the_top_level_route(self, monkeypatch):
+        direct = [run_captured(argv) for argv in DISPATCH_CORPUS]
+        monkeypatch.setattr(pulselab.cli._parser(), "commands", {}, raising=False)
+        assert [run_captured(argv) for argv in DISPATCH_CORPUS] == direct
+        assert {code for code, _, _ in direct} == {0, 2}
+
+    @pytest.mark.parametrize("argv", [DISPATCH_CORPUS[i] for i in (0, 3, 5, 6)], ids=lambda argv: argv[0])
+    def test_one_parse_per_call(self, monkeypatch, argv):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run_captured(argv)[0] == 0
+        assert calls == [f"pulselab {argv[0]}"]
 
 
 # Any finite double: subnormals, -0.0 and +-1.7976931348623157e308 included.

@@ -4,7 +4,8 @@ row (numpy reports its array buffers to tracemalloc).
 Bounds are per row at n = 2e5, where the fixed costs (one emit block of
 text, the parser) are a few bytes per row.  Whole-array temporaries cost 8 B
 per row each: the kernels that kept every intermediate as its own array
-measured 73 B per point and 64 B per dumped sample.
+measured 73 B per point and 64 B per dumped sample, and the NUFFT that spread
+every sample at once ~730 B per sample.
 """
 
 import tracemalloc
@@ -13,6 +14,7 @@ import numpy as np
 
 from pulselab import Pulse, analytic_intensity
 from pulselab.cli import main
+from pulselab.spectral import _nufft_intensity
 
 N = 200_000
 
@@ -38,3 +40,12 @@ def test_recoil_dump(tmp_path):
     codes = []
     assert heap_peak(lambda: codes.append(main(argv))) / N <= 32
     assert codes == [0]
+
+
+def test_nufft_intensity():
+    # a jittered time grid; spreading every sample at once took ~730 B each
+    t = np.linspace(0.0, 2.0, N)
+    t[1:-1] += np.random.default_rng(5).uniform(-0.3, 0.3, N - 2) * (t[1] - t[0])
+    amp = np.exp(10j * t)
+    omega = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
+    assert heap_peak(lambda: _nufft_intensity(amp, t, omega)) / N <= 120

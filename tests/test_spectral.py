@@ -258,6 +258,49 @@ class TestBlockedGate:
         assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
 
+    @pytest.mark.parametrize("n,block", [(100, None), (2048, None), (3 * 512 + 77, None), (1001, 7)])
+    def test_blocks_sum_as_one_bincount(self, monkeypatch, n, block):
+        # One block, a whole number of blocks, a short last block, and many
+        # small blocks: each sums its samples in the order one bincount does.
+        if block is not None:
+            monkeypatch.setattr(pulselab.spectral, "_NUFFT_BLOCK", block)
+        wf = jittered_waveform(n, seed=n)
+        omega = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
+        assert np.array_equal(_nufft_intensity(wf.amp, wf.t, omega), nufft_one_bincount(wf.amp, wf.t, omega))
+
+
+def nufft_one_bincount(amp, t, og):
+    """_nufft_intensity with every sample spread at once and summed by one
+    np.bincount per component: the reference its blocks must match bit for bit."""
+    m = og.size
+    m0 = m // 2
+    d = (og[-1] - og[0]) / (m - 1)
+    s = t - t[0]
+    dt = np.diff(t)
+    w = np.zeros(t.size)
+    w[:-1] += 0.5 * dt
+    w[1:] += 0.5 * dt
+    c = w * amp * np.exp(-1j * (og[0] + m0 * d) * s)
+    size = 1 << (2 * m - 1).bit_length()
+    sigma = size / m
+    spread = pulselab.spectral._NUFFT_SPREAD
+    tau = math.pi * spread / (m * m * sigma * (sigma - 0.5))
+    h = 2.0 * math.pi / size
+    u = s * (d / h)
+    base = np.floor(u)
+    offsets = np.arange(1 - spread, spread + 1)
+    g = (u - base)[:, None] - offsets
+    g *= g
+    g *= -h * h / (4.0 * tau)
+    np.exp(g, out=g)
+    idx = ((base.astype(np.intp)[:, None] + offsets) & (size - 1)).ravel()
+    grid = np.bincount(idx, (g * c.real[:, None]).ravel(), size)
+    grid = grid + 1j * np.bincount(idx, (g * c.imag[:, None]).ravel(), size)
+    j = np.arange(-m0, m - m0)
+    f = np.fft.fft(grid)[j & (size - 1)] * np.exp(j * j * tau) * (math.sqrt(math.pi / tau) / size)
+    return f.real ** 2 + f.imag ** 2
+
+
 SPAN = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
 WIDE_SPAN = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 200001)
 
