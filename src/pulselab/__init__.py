@@ -8,13 +8,13 @@ from .adjustment import *  # noqa: F403  (each module's __all__ is the public AP
 
 __version__ = "0.1.0"
 
-# These import numpy, so they load on the first lookup of a name not bound
-# here yet (PEP 562): the adjustment procedure runs without numpy.
-_NUMPY_MODULES = ("recoil", "spectral", "wavepacket")
+# Loaded on the first lookup of a name not bound here yet (PEP 562): recoil and
+# spectral import numpy, and building wavepacket's NamedTuples takes ~1 ms.
+_LAZY_MODULES = ("recoil", "spectral", "wavepacket")
 
 
 def __getattr__(name: str):
-    modules = [adjustment] + [importlib.import_module(f"{__name__}.{m}") for m in _NUMPY_MODULES]
+    modules = [adjustment] + [importlib.import_module(f"{__name__}.{m}") for m in _LAZY_MODULES]
     exports = {export: getattr(m, export) for m in modules for export in m.__all__}
     globals().update(exports, __all__=sorted(exports))
     try:

@@ -15,9 +15,9 @@ JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
 numbers as ``%.17g``.  The failure policy lives in ``main`` alone: exit codes
 0 success, 1 runtime/domain error, 2 usage error, and no Python warning shown.
-numpy and the modules built on it load only in the commands that need them,
-and so do ``dataclasses`` (for ``asdict``) and ``csv`` (for ``--input``): neither
-``import pulselab.cli`` nor ``adjust`` loads any of them.
+numpy, the modules that import it and ``csv`` (for ``--input``) load only in
+the commands that need them: neither ``import pulselab.cli`` nor ``adjust``
+nor ``width`` loads any of them.
 """
 
 from __future__ import annotations
@@ -237,6 +237,8 @@ def _omega_grid(args):
         raise UsageError("--omega-min must be below --omega-max")
     if not math.isfinite(args.omega_max - args.omega_min):
         raise UsageError("--omega-max minus --omega-min overflows")
+    if args.points > sys.maxsize // 8:  # np.linspace raises IndexError at 2**63 - 1 and 2**63
+        raise ValueError("--points too many: the omega grid is larger than numpy's largest array")
     grid = np.linspace(args.omega_min, args.omega_max, args.points)
     if not np.all(grid[1:] > grid[:-1]):
         raise UsageError("--points too many: the omega grid is not strictly increasing")
@@ -246,15 +248,8 @@ def _omega_grid(args):
 def cmd_spectrum(args) -> tuple[dict, dict]:
     import numpy as np
 
-    from .spectral import (
-        Spectrum,
-        first_zero_halfwidth,
-        first_zero_halfwidth_numeric,
-        fourier_intensity,
-        fwhm,
-        rectangular_fwhm,
-    )
-    from .wavepacket import Pulse, analytic_intensity, peak_intensity
+    from .spectral import Spectrum, first_zero_halfwidth_numeric, fourier_intensity, fwhm
+    from .wavepacket import Pulse, analytic_intensity, first_zero_halfwidth, peak_intensity, rectangular_fwhm
 
     grid = _omega_grid(args)
     if args.input is not None:
@@ -289,10 +284,7 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
 
 
 def cmd_width(args) -> tuple[dict, None]:
-    from dataclasses import asdict
-
-    from .spectral import energy_moments, first_zero_halfwidth, rectangular_fwhm
-    from .wavepacket import Pulse
+    from .wavepacket import Pulse, energy_moments, first_zero_halfwidth, rectangular_fwhm
 
     try:
         pulse = Pulse(1.0, args.omega0, args.tau)
@@ -304,7 +296,7 @@ def cmd_width(args) -> tuple[dict, None]:
         "first_zero_halfwidth": half,
         "fwhm": rectangular_fwhm(args.tau),
         "time_bandwidth_product": half * args.tau,
-        **asdict(moments),
+        **moments._asdict(),
     }, None
 
 
@@ -325,20 +317,19 @@ def cmd_adjust(args) -> tuple[dict, None]:
 
 
 def cmd_recoil(args) -> tuple[dict, None]:
-    from dataclasses import asdict
-
-    from .recoil import _draw, _momenta, recoil_stats
+    from .recoil import _check_args, _draw, _momenta, recoil_stats
 
     try:
-        if args.dump is None:
-            return asdict(recoil_stats(args.k, args.n, args.seed)), None
-        stats, cos_t, phi = _draw(args.k, args.n, args.seed)
+        _check_args(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.dump is None:
+        return recoil_stats(args.k, args.n, args.seed)._asdict(), None
+    stats, cos_t, phi = _draw(args.k, args.n, args.seed)
     # The momenta of one block at a time: the (n, 3) array is never made.
     momenta = (_momenta(args.k, cos_t[rows], phi[rows]) for rows in _blocks(args.n))
     _write(_csv_table("kx,ky,kz", momenta), args.dump)
-    return asdict(stats), None
+    return stats._asdict(), None
 
 
 # argparse takes an argument that starts with "-" for an option unless it

@@ -9,7 +9,7 @@ momentum component is therefore k/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +23,13 @@ __all__ = [
 GENERATOR = "numpy.random.Generator(PCG64)"
 
 
-@dataclass(frozen=True)
-class RecoilStats:
+class RecoilStats(NamedTuple):
     n: int
     k: float
     mean_kz: float
     std_kz: float  # sample standard deviation (ddof=1); 0 by convention for n=1
     seed: int
-    generator: str = field(default=GENERATOR)
+    generator: str = GENERATOR
 
 
 def _check_args(k: float, n: int, seed: int) -> None:

@@ -1,11 +1,9 @@
-"""Numerical Fourier-integral spectra, width measures, and energy moments.
+"""Sampled spectra: the trapezoidal Fourier intensity of a sampled waveform,
+and the widths and mean frequency measured on a sampled spectrum.
 
-Width convention: the primary spectral width is the peak-to-first-zero
-half-width ``2*pi/tau`` (so width * duration = 2*pi for the rectangular
-envelope); FWHM is reported as a secondary measure.  A second-central-moment
-width is deliberately not offered: the sinc^2 distribution has a divergent
-variance.  The energy spread is reported by the ``2*pi*hbar/tau`` convention
-for the same reason.
+The widths follow ``wavepacket``'s convention: the primary one is the
+peak-to-first-null half-width, which is ``2*pi/tau`` for a rectangular pulse
+of duration ``tau``; FWHM is secondary.
 """
 
 from __future__ import annotations
@@ -15,19 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavepacket import Pulse
-
 __all__ = [
     "SampledWaveform",
     "Spectrum",
-    "MomentReport",
     "fourier_intensity",
-    "first_zero_halfwidth",
     "first_zero_halfwidth_numeric",
     "fwhm",
-    "rectangular_fwhm",
-    "uncertainty_product",
-    "energy_moments",
     "mean_omega_numeric",
 ]
 
@@ -92,14 +83,6 @@ class Spectrum:
             raise ValueError("intensities must be nonnegative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "intensity", intensity)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    mean_omega: float
-    mean_energy: float  # hbar * mean_omega
-    delta_e_convention: float  # 2*pi*hbar / tau
-    hbar: float
 
 
 def fourier_intensity(waveform: SampledWaveform, omega_grid) -> Spectrum:
@@ -278,11 +261,6 @@ def _chirp_z_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.nda
     return f.real ** 2 + f.imag ** 2
 
 
-def first_zero_halfwidth(pulse: Pulse) -> float:
-    """Distance from the spectral peak to the first null: 2*pi/tau."""
-    return 2.0 * np.pi / pulse.tau
-
-
 def _interior_peak(spectrum: Spectrum) -> int:
     i = int(np.argmax(spectrum.intensity))
     if i == 0 or i == spectrum.intensity.size - 1:
@@ -375,34 +353,6 @@ def fwhm(spectrum: Spectrum) -> float:
         raise ValueError("half-maximum level is not crossed within the grid")
     j, k = int(right[0]), int(left[-1])
     return _crossing(omega, intensity, j - 1, j, half) - _crossing(omega, intensity, k + 1, k, half)
-
-
-# The root u ~ 1.39156 of sin(u)^2 / u^2 = 1/2 on (0, pi), to within one ulp.
-_HALFMAX_PHASE = 1.3915573782515103
-
-
-def rectangular_fwhm(tau: float) -> float:
-    """Closed-form FWHM of the rectangular pulse's sinc^2 spectrum: ~5.566/tau."""
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ValueError("tau must be positive")
-    return 4.0 * _HALFMAX_PHASE / tau
-
-
-def uncertainty_product(pulse: Pulse) -> float:
-    """Time-bandwidth product: first-zero half-width times duration (= 2*pi)."""
-    return first_zero_halfwidth(pulse) * pulse.tau
-
-
-def energy_moments(pulse: Pulse, hbar: float = 1.0) -> MomentReport:
-    """Mean frequency/energy and the 2*pi*hbar/tau energy-spread convention."""
-    if not np.isfinite(hbar) or hbar <= 0.0:
-        raise ValueError("hbar must be positive")
-    return MomentReport(
-        mean_omega=pulse.omega0,
-        mean_energy=hbar * pulse.omega0,
-        delta_e_convention=2.0 * np.pi * hbar / pulse.tau,
-        hbar=hbar,
-    )
 
 
 def mean_omega_numeric(spectrum: Spectrum) -> float:

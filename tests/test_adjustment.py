@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from pulselab import (
     ComplexEnergy,
     ComplexObservable,
     EvaluationFailure,
+    MomentReport,
     NoRootInRange,
+    Pulse,
+    RecoilStats,
     adjusted_energy_consistent,
     adjusted_energy_paper,
     expand_product,
@@ -206,6 +210,50 @@ def test_model_step_scales_with_x0(x0):
     assert res.evaluations <= 20
 
 
+# 200 draws like the benchmark's adjust tasks: (e, de, t) with e ~ U(0.5, 5),
+# de = U(0.05, 2) * e and t ~ U(0.1, 1).
+_rng = random.Random(2024)
+CORPUS = [(e, _rng.uniform(0.05, 2.0) * e, _rng.uniform(0.1, 1.0))
+          for e in (_rng.uniform(0.5, 5.0) for _ in range(200))]
+
+
+def stiff_cubic(e, de, t):
+    """B(z) = (e + i*de)*z + ((z - t)/0.01)**3 in float arithmetic, which no
+    libm or fused multiply-add can change.  Its root lies near zeta ~ 0.01,
+    where the +-_MODEL_STEP probes' model depends on the step."""
+    def evaluate(z):
+        x, y = (z.real - t) / 0.01, z.imag / 0.01
+        return complex(e * z.real - de * z.imag + x * x * x - 3.0 * x * y * y,
+                       e * z.imag + de * z.real + 3.0 * x * x * y - y * y * y)
+    return evaluate
+
+
+def corpus_evaluations(observable):
+    return [solve_imag_zero(ComplexObservable(observable(e, de, t), t)).evaluations for e, de, t in CORPUS]
+
+
+class TestEvaluationCounts:
+    """The solver's evaluation counts over CORPUS, pinned on both sides: a
+    change to the model step, the ladder's start or the refinement moves them.
+    A change that makes the solver faster lowers them and says so in CHANGES.md.
+    Measured mutants: _LADDER_START 1/6 -> 1/1.5 gives 1600, 3060 and
+    3225 (fewer, so the pins are two-sided); Chandrupatla's fallback
+    t = 0.5 -> 0.3 gives 3842 and 2770; _MODEL_STEP 1e-4 -> 1e-2 moves only
+    the stiff cubic, to 3248."""
+
+    def test_linear(self):
+        assert corpus_evaluations(lambda e, de, t: (lambda z: complex(e, de) * z)) == [12] * 200
+
+    def test_stiff_cubic(self):
+        assert sum(corpus_evaluations(stiff_cubic)) == 2818
+
+    def test_benchmark_nonlinear(self):
+        # e^{iz}(e + z) goes through libm's exp, cos and sin, whose last bits
+        # may differ between hosts; 3840 in total and 27 at most where measured.
+        counts = corpus_evaluations(lambda e, de, t: (lambda z: cmath.exp(1j * z) * (e + z)))
+        assert 3800 <= sum(counts) <= 3880 and max(counts) <= 30
+
+
 class TestClosedForms:
     @pytest.mark.parametrize(
         "e,de,t,zeta,value",
@@ -277,6 +325,9 @@ RECORDS = [
     (ComplexObservable, {"evaluate": abs, "x0": 0.5}),
     (AdjustmentResult, {"zeta": 0.25, "adjusted_value": 2.5, "residual_im": 0.0, "evaluations": 7}),
     (ComplexEnergy, {"e": 2.0, "de": 1.0}),
+    (Pulse, {"a0": 2.0, "omega0": 5.0, "tau": 1.5}),
+    (MomentReport, {"mean_omega": 5.0, "mean_energy": 7.5, "delta_e_convention": 6.25, "hbar": 1.5}),
+    (RecoilStats, {"n": 3, "k": 1.5, "mean_kz": 0.75, "std_kz": 0.25, "seed": 7, "generator": "PCG64"}),
 ]
 
 

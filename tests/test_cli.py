@@ -349,18 +349,37 @@ class TestUnwritableOutput:
 
 
 class TestOutOfMemory:
+    ARGV = {
+        "spectrum": ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", "--omega-min", "4",
+                     "--omega-max", "16", "--points"],
+        "recoil": ["recoil", "--k", "1", "--n"],
+        "recoil-dump": ["recoil", "--dump", "d.csv", "--k", "1", "--n"],
+    }
+
+    @pytest.fixture
+    def run(self, capsys, tmp_path, monkeypatch):
+        def run(command, size):
+            monkeypatch.chdir(tmp_path)
+            assert main([*self.ARGV[command], str(size)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == []
+        return run
+
     # 2**58 samples of 8 bytes is 2 EiB: no machine can map it, so nothing is allocated.
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", "--omega-min", "4", "--omega-max", "16",
-         "--points", str(2 ** 58)],
-        ["recoil", "--k", "1", "--n", str(2 ** 58)],
-    ], ids=["spectrum", "recoil"])
-    def test_unallocatable_request_is_runtime_error(self, capsys, argv):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+    @pytest.mark.parametrize("command", ["spectrum", "recoil"])
+    def test_unallocatable_request_is_runtime_error(self, run, command):
+        run(command, 2 ** 58)
+
+    # Past 2**60 numpy cannot describe the array at all, and at 2**63 - 1 and
+    # 2**63 np.linspace fails with an IndexError of its own.
+    @pytest.mark.parametrize("size", [2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64],
+                             ids=["2**62", "2**63-1", "2**63", "2**64"])
+    @pytest.mark.parametrize("command", ["spectrum", "recoil", "recoil-dump"])
+    def test_request_beyond_numpy_array_limit_is_runtime_error(self, run, command, size):
+        run(command, size)
 
 
 class TestColdStart:

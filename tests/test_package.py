@@ -39,17 +39,25 @@ def test_import_and_adjust_load_no_numpy():
         before = {m for m in heavy if m in sys.modules}
         def added():
             return sorted(m for m in heavy if m in sys.modules and m not in before)
+        def pulselab_modules():
+            return sorted(m for m in sys.modules if m.startswith("pulselab"))
         import pulselab, pulselab.cli
         loaded = [added()]
-        for fmt in ("json", "csv"):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = pulselab.cli.main(["adjust", "--e", "2", "--de", "1", "--t", "1", "--format", fmt])
-            loaded.append([added(), code])
-        print(json.dumps([loaded, sorted(m for m in sys.modules if m.startswith("pulselab"))]))
+        runs = {"adjust": ["--e", "2", "--de", "1", "--t", "1"], "width": ["--omega0", "10", "--tau", "2"]}
+        for command, flags in runs.items():
+            for fmt in ("json", "csv"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = pulselab.cli.main([command, *flags, "--format", fmt])
+                loaded.append([added(), code])
+            loaded.append(pulselab_modules())
+        print(json.dumps(loaded))
     """
-    loaded, modules = fresh(code)
-    assert loaded == [[], [[], 0], [[], 0]]
-    assert modules == ["pulselab", "pulselab.adjustment", "pulselab.cli"]
+    loaded = fresh(code)
+    assert loaded == [
+        [],
+        [[], 0], [[], 0], ["pulselab", "pulselab.adjustment", "pulselab.cli"],
+        [[], 0], [[], 0], ["pulselab", "pulselab.adjustment", "pulselab.cli", "pulselab.wavepacket"],
+    ]
 
 
 def test_dir_lists_every_export_and_module_before_any_is_loaded():

@@ -27,7 +27,6 @@ from pulselab import (
     uncertainty_product,
 )
 from pulselab.spectral import (
-    _HALFMAX_PHASE,
     _chirp_z_intensity,
     _direct_intensity,
     _null,
@@ -36,6 +35,7 @@ from pulselab.spectral import (
     _uniform,
     _vertex,
 )
+from pulselab.wavepacket import _HALFMAX_PHASE
 
 
 def rect_waveform(a0, omega0, tau, n=4096):
@@ -381,6 +381,31 @@ class TestWidths:
             omega = 8.01 + 7.99 * np.linspace(0.0, 1.0, 301) ** 1.3
         spec = fourier_intensity(SampledWaveform(t, np.exp(10j * t)), omega)
         assert first_zero_halfwidth_numeric(spec) == pytest.approx(np.pi, rel=1e-6)
+
+    def test_numeric_first_zero_linear_amplitude(self):
+        # The amplitude is exactly linear across each null (-1.17 and 1, off the
+        # grid), so the cubic's root is the null to rounding: the bisection must
+        # run to float resolution; 20 halvings miss by 4e-8.  The nulls sit at
+        # different offsets from the grid, so their bisection errors do not
+        # cancel in the half-width (at -1.25 or -1.3 they do).
+        omega = -1.83 + 0.1 * np.arange(35)
+        amplitude = 1.0 - np.where(omega > 0.0, omega, -omega / 1.17)
+        spec = Spectrum(omega, amplitude ** 2)
+        assert first_zero_halfwidth_numeric(spec) == pytest.approx(1.085, abs=1e-14)
+
+    def test_numeric_first_zero_one_side_flat_top(self):
+        # sqrt maps 1 and the next double up both to 1, so the peak sample (3)
+        # and its neighbours have equal amplitudes and the parabola no vertex:
+        # the width is measured from the peak sample itself.  The amplitude
+        # falls linearly to the one null, at sample 4 + 1/0.3.
+        omega = 0.1 * np.arange(11)
+        amplitude = np.abs(1.0 - 0.3 * (np.arange(11) - 4.0))
+        amplitude[:4] = [0.6, 0.8, 1.0, 1.0]
+        intensity = amplitude ** 2
+        intensity[3] = math.nextafter(1.0, 2.0)
+        assert int(np.argmax(intensity)) == 3 and np.unique(np.sqrt(intensity[2:5])).size == 1
+        expected = 0.1 * (4.0 + 1.0 / 0.3) - omega[3]
+        assert first_zero_halfwidth_numeric(Spectrum(omega, intensity)) == pytest.approx(expected, rel=1e-12)
 
     def test_numeric_first_zero_monotone_errors(self):
         omega = np.linspace(0.0, 1.0, 50)

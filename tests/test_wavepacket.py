@@ -33,6 +33,15 @@ class TestPulse:
     def test_invalid(self, a0, omega0, tau):
         with pytest.raises(ValueError):
             Pulse(a0, omega0, tau)
+        with pytest.raises(ValueError):
+            Pulse(2.0, 5.0, 1.5)._replace(a0=a0, omega0=omega0, tau=tau)
+
+    def test_is_a_tuple_without_instance_dict(self):
+        p = Pulse(2.0, 5.0, 1.5)
+        a0, omega0, tau = p
+        assert p == (a0, omega0, tau) == (2.0, 5.0, 1.5)
+        assert p._replace(tau=3.0) == Pulse(2.0, 5.0, 3.0)
+        assert not hasattr(p, "__dict__")
 
 
 class TestSampleWaveform:
