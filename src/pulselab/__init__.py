@@ -8,19 +8,24 @@ from .adjustment import *  # noqa: F403  (each module's __all__ is the public AP
 
 __version__ = "0.1.0"
 
-# Loaded on the first lookup of a name not bound here yet (PEP 562): recoil and
-# spectral import numpy, and building wavepacket's NamedTuples takes ~1 ms.
-_LAZY_MODULES = ("recoil", "spectral", "wavepacket")
+# Loaded one at a time, in this order, on the lookup of a name not bound here
+# yet (PEP 562), until the name is bound: recoil and spectral import numpy, and
+# building wavepacket's NamedTuples takes ~1 ms.
+_LAZY_MODULES = ("wavepacket", "recoil", "spectral")
 
 
 def __getattr__(name: str):
-    modules = [adjustment] + [importlib.import_module(f"{__name__}.{m}") for m in _LAZY_MODULES]
-    exports = {export: getattr(m, export) for m in modules for export in m.__all__}
-    globals().update(exports, __all__=sorted(exports))
-    try:
-        return globals()[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    names = list(adjustment.__all__)
+    for m in _LAZY_MODULES:
+        module = importlib.import_module(f"{__name__}.{m}")
+        globals().update({export: getattr(module, export) for export in module.__all__})
+        names += module.__all__
+        if name in globals():
+            return globals()[name]
+    globals()["__all__"] = sorted(names)  # every module is loaded: the whole API is known
+    if name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()["__all__"]
 
 
 def __dir__():

@@ -317,18 +317,17 @@ def cmd_adjust(args) -> tuple[dict, None]:
 
 
 def cmd_recoil(args) -> tuple[dict, None]:
-    from .recoil import _check_args, _draw, _momenta, recoil_stats
+    from .recoil import _check_args, _draw, _momenta
 
     try:
         _check_args(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.dump is None:
-        return recoil_stats(args.k, args.n, args.seed)._asdict(), None
     stats, cos_t, phi = _draw(args.k, args.n, args.seed)
-    # The momenta of one block at a time: the (n, 3) array is never made.
-    momenta = (_momenta(args.k, cos_t[rows], phi[rows]) for rows in _blocks(args.n))
-    _write(_csv_table("kx,ky,kz", momenta), args.dump)
+    if args.dump is not None:
+        # The momenta of one block at a time: the (n, 3) array is never made.
+        momenta = (_momenta(args.k, cos_t[rows], phi[rows]) for rows in _blocks(args.n))
+        _write(_csv_table("kx,ky,kz", momenta), args.dump)
     return stats._asdict(), None
 
 
@@ -415,9 +414,12 @@ def main(argv=None) -> int:
             args = sub.parse_args(argv[1:])
             args.command = argv[0]
         config = {name: value for name, value in vars(args).items() if name != "func"}
+        csv_run = config["format"] == "csv"  # a CSV header holds each path as is, on its own line
         for name, value in config.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
+            if csv_run and isinstance(value, str) and ("\n" in value or "\r" in value):
+                raise UsageError(f"--{name} must not hold a line break with --format csv")
         with warnings.catch_warnings():
             # Inputs are checked for emptiness and results for finiteness, so a
             # warning (numpy's overflow or empty-input one) would only repeat them.

@@ -17,7 +17,6 @@ __all__ = [
     "RecoilStats",
     "momentum_samples",
     "recoil_stats",
-    "stats_and_samples",
 ]
 
 GENERATOR = "numpy.random.Generator(PCG64)"
@@ -66,17 +65,13 @@ def _momenta(k: float, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stats(k: float, n: int, seed: int, cos_t: np.ndarray) -> RecoilStats:
+def _draw(k: float, n: int, seed: int) -> tuple[RecoilStats, np.ndarray, np.ndarray]:
+    """The draw of n directions and its statistics: ``(stats, cos_t, phi)``.
+    The caller checks the arguments with ``_check_args``."""
+    cos_t, phi = _draw_angles(np.random.default_rng(seed), n)
     mean_kz = k * float(np.mean(cos_t))
     std_kz = k * float(np.std(cos_t, ddof=1)) if n > 1 else 0.0
-    return RecoilStats(n=n, k=k, mean_kz=mean_kz, std_kz=std_kz, seed=seed)
-
-
-def _draw(k: float, n: int, seed: int) -> tuple[RecoilStats, np.ndarray, np.ndarray]:
-    """One checked draw of n directions: ``(stats, cos_t, phi)``."""
-    _check_args(k, n, seed)
-    cos_t, phi = _draw_angles(np.random.default_rng(seed), n)
-    return _stats(k, n, seed, cos_t), cos_t, phi
+    return RecoilStats(n=n, k=k, mean_kz=mean_kz, std_kz=std_kz, seed=seed), cos_t, phi
 
 
 def momentum_samples(k: float, n: int, seed: int) -> np.ndarray:
@@ -91,10 +86,5 @@ def recoil_stats(k: float, n: int, seed: int) -> RecoilStats:
     Draws cos(theta) with the same stream layout as momentum_samples, so a
     per-sample dump made with the same seed matches these statistics.
     """
+    _check_args(k, n, seed)
     return _draw(k, n, seed)[0]
-
-
-def stats_and_samples(k: float, n: int, seed: int) -> tuple[RecoilStats, np.ndarray]:
-    """``(recoil_stats(k, n, seed), momentum_samples(k, n, seed))`` from one draw."""
-    stats, cos_t, phi = _draw(k, n, seed)
-    return stats, _momenta(k, cos_t, phi)

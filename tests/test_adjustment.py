@@ -169,6 +169,14 @@ class TestSolverBracket:
         res = solve_imag_zero(ComplexObservable(lambda z: (1000.0 + 1.0j) * z, 0.05), tol=2e-4)
         assert (res.zeta, res.evaluations) == (-5e-05, 4)
 
+    @pytest.mark.parametrize("root,zeta_max,evaluations", [(1e-4, None, 2), (-1e-4, None, 3), (5.0, 5.0, 10)],
+                             ids=["model-probe+d", "model-probe-d", "rung-at-zeta_max"])
+    def test_probe_on_the_root_returns_it(self, root, zeta_max, evaluations):
+        # Im B = zeta - root at x0 = 0: a +-1e-4 model probe, or the ladder's
+        # rung capped at zeta_max, lands on the root exactly.
+        res = solve_imag_zero(ComplexObservable(lambda z: z - complex(0.0, root), 0.0), zeta_max=zeta_max)
+        assert (res.zeta, res.evaluations) == (root, evaluations)
+
     def test_no_root_message_ends_with_probes(self):
         with pytest.raises(NoRootInRange, match=r"last probes \(zeta, Im B\): .*\(-10\.0, 1\)$"):
             solve_imag_zero(ComplexObservable(lambda z: 1j, 0.0), zeta_max=10.0)

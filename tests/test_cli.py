@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,16 +608,23 @@ class TestEmitGate:
         assert results["std_kz"] == 2.5 * float(np.std(cos_t, ddof=1))
 
     def test_dump_draws_once(self, tmp_path, monkeypatch):
+        """One argument check and one draw per run, with --dump and without."""
         calls = []
-        draw = pulselab.recoil._draw_angles
 
-        def counting(rng, n):
-            calls.append(n)
-            return draw(rng, n)
+        def counting(name):
+            real = getattr(pulselab.recoil, name)
 
-        monkeypatch.setattr(pulselab.recoil, "_draw_angles", counting)
-        assert run_text(["recoil", "--k", "1", "--n", "100", "--dump", str(tmp_path / "d.csv")])[0] == 0
-        assert calls == [100]
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("_check_args", "_draw_angles"):
+            monkeypatch.setattr(pulselab.recoil, name, counting(name))
+        for dump in ([], ["--dump", str(tmp_path / "d.csv")]):
+            calls.clear()
+            assert run_text(["recoil", "--k", "1", "--n", "100", *dump])[0] == 0
+            assert calls == ["_check_args", "_draw_angles"]
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -767,8 +775,9 @@ class TestWaveformReader:
         ("t,re,im\n0,1,0\n\n0.5,1_0,0\n", "line 4, column re: '1_0' is not a number"),
         ('t,re,im\n0,1,0\n"0.5\n",1,0\n1,1,x\n', "line 5, column im: 'x' is not a number"),
         ("t,amp,re\n0,1,x\n1,y,0\n", "line 3, column amp: 'y' is not a number"),
+        ("t,re,im\n0,1,0\ninf,1,0\n", "time grid must be finite"),
     ], ids=["value-on-line-2", "short-row-on-line-3", "after-blank-line", "after-quoted-newline",
-            "unread-column-skipped"])
+            "unread-column-skipped", "non-finite-time"])
     def test_bad_value_names_file_line_and_column(self, capsys, tmp_path, text, where):
         path = tmp_path / "wave.csv"
         for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes a byte-order mark first
@@ -944,6 +953,28 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("flag,argv", [
+        ("--output", ["width", "--omega0", "1", "--tau", "1"]),
+        ("--input", ["spectrum", "--omega-min", "2", "--omega-max", "18", "--points", "301"]),
+        ("--dump", ["recoil", "--k", "1", "--n", "10"]),
+    ], ids=["output", "input", "dump"])
+    def test_line_break_in_a_path_is_refused_in_csv(self, capsys, tmp_path, monkeypatch, flag, argv, brk):
+        """A CSV header holds the path on one "# " line, which a line break would end;
+        JSON escapes it."""
+        monkeypatch.chdir(tmp_path)
+        path = f"o{brk}ut.csv"
+        if flag == "--input":
+            os.rename(write_clean_waveform(tmp_path), path)
+        argv = [*argv, flag, path]
+        assert main([*argv, "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must not hold a line break with --format csv\n")
+        assert os.listdir() == ([path] if flag == "--input" else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(Path(path).read_text() if flag == "--output" else out)
+        assert doc["config"][flag[2:]] == path
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["adjust", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):

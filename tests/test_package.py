@@ -60,9 +60,24 @@ def test_import_and_adjust_load_no_numpy():
     ]
 
 
+def test_pulse_import_loads_only_wavepacket():
+    code = """
+        import json, sys
+        heavy = ("numpy", "dataclasses")
+        before = {m for m in heavy if m in sys.modules}
+        from pulselab import Pulse, first_zero_halfwidth
+        loaded = [sorted(m for m in heavy if m in sys.modules and m not in before)]
+        loaded.append(sorted(m for m in sys.modules if m.startswith("pulselab")))
+        from pulselab import fourier_intensity
+        loaded.append(fourier_intensity.__module__)
+        print(json.dumps(loaded))
+    """
+    assert fresh(code) == [[], ["pulselab", "pulselab.adjustment", "pulselab.wavepacket"], "pulselab.spectral"]
+
+
 def test_dir_lists_every_export_and_module_before_any_is_loaded():
     names = fresh("import json, pulselab; print(json.dumps(dir(pulselab)))")
-    assert len(pulselab.__all__) == 31
+    assert len(pulselab.__all__) == 30
     assert set(pulselab.__all__) | set(MODULES) <= set(names)
 
 

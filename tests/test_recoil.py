@@ -6,7 +6,6 @@ from pulselab import (
     RecoilStats,
     momentum_samples,
     recoil_stats,
-    stats_and_samples,
 )
 
 
@@ -75,16 +74,20 @@ class TestRecoilStats:
             recoil_stats(k, n, seed=0)
         with pytest.raises(ValueError):
             momentum_samples(k, n, seed=0)
-        with pytest.raises(ValueError):
-            stats_and_samples(k, n, seed=0)
 
+    def test_each_entry_point_checks_once(self, monkeypatch):
+        calls = []
+        check = pulselab.recoil._check_args
 
-class TestStatsAndSamples:
-    @pytest.mark.parametrize("k,n,seed", [(1.0, 1, 13), (2.5, 3, 0), (1.3, 10 ** 4, 21)])
-    def test_equals_separate_draws(self, k, n, seed):
-        stats, samples = stats_and_samples(k, n, seed)
-        assert stats == recoil_stats(k, n, seed)
-        np.testing.assert_array_equal(samples, momentum_samples(k, n, seed))
+        def counting(k, n, seed):
+            calls.append((k, n, seed))
+            check(k, n, seed)
+
+        monkeypatch.setattr(pulselab.recoil, "_check_args", counting)
+        recoil_stats(1.0, 10, 3)
+        assert calls == [(1.0, 10, 3)]
+        momentum_samples(2.0, 5, 4)
+        assert calls == [(1.0, 10, 3), (2.0, 5, 4)]
 
 
 def reference_draw(k, n, seed):
@@ -115,10 +118,8 @@ class TestReferenceGate:
                                           (7.0, 50001, 11)])
     def test_draw_stats_and_samples(self, k, n, seed):
         mean_kz, std_kz, momenta = reference_draw(k, n, seed)
-        stats, samples = stats_and_samples(k, n, seed)
+        stats = recoil_stats(k, n, seed)
         assert (stats.mean_kz, stats.std_kz) == (mean_kz, std_kz)
-        assert recoil_stats(k, n, seed) == stats
-        assert_same_bits(samples, momenta)
         assert_same_bits(momentum_samples(k, n, seed), momenta)
 
     @pytest.mark.parametrize("n", [1, 3, 4097])
@@ -135,6 +136,6 @@ class TestReferenceGate:
         assert recoil_stats(1.0, 2, seed=4).std_kz == pytest.approx(abs(u[0] - u[1]) / np.sqrt(2.0), rel=1e-12)
 
     def test_negative_seed_names_the_seed(self):
-        for fn in (recoil_stats, momentum_samples, stats_and_samples):
+        for fn in (recoil_stats, momentum_samples):
             with pytest.raises(ValueError, match="^seed must be nonnegative$"):
                 fn(1.0, 10, -1)

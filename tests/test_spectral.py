@@ -72,6 +72,8 @@ class TestTypes:
             Spectrum(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             Spectrum(np.array([0.0, 1.0]), np.array([1.0, -0.1]))
+        with pytest.raises(ValueError, match="^intensity must match the omega grid length$"):
+            Spectrum(np.array([0.0, 1.0]), np.array([1.0]))
 
 
 class TestFourierIntensity:
@@ -458,6 +460,11 @@ class TestWidths:
     def test_fwhm_reference_number(self):
         assert rectangular_fwhm(1.0) == pytest.approx(5.566, abs=5e-4)
         assert rectangular_fwhm(2.0) == pytest.approx(2.783, abs=3e-4)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
+    def test_fwhm_rectangular_refuses_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="^tau must be positive$"):
+            rectangular_fwhm(tau)
 
     def test_fwhm_triangle(self):
         w = 2.0
