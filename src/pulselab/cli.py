@@ -418,8 +418,10 @@ def main(argv=None) -> int:
         for name, value in config.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
-            if csv_run and isinstance(value, str) and ("\n" in value or "\r" in value):
+            if csv_run and isinstance(value, str) and value.splitlines() not in ([], [value]):
                 raise UsageError(f"--{name} must not hold a line break with --format csv")
+            if csv_run and isinstance(value, str) and value.encode(errors="ignore").decode() != value:
+                raise UsageError(f"--{name} must be UTF-8 text with --format csv")
         with warnings.catch_warnings():
             # Inputs are checked for emptiness and results for finiteness, so a
             # warning (numpy's overflow or empty-input one) would only repeat them.

@@ -89,12 +89,14 @@ def fourier_intensity(waveform: SampledWaveform, omega_grid) -> Spectrum:
     """|integral A(t) exp(-i*omega*t) dt|^2 by trapezoidal quadrature.
 
     Integrates on the caller's time grid (no resampling), so the quadrature
-    error is controlled by the caller's sampling density.
+    error is controlled by the caller's sampling density.  Every path sums on
+    the offsets s = t - t[0], exact wherever t is within a factor of 2 of t[0]
+    (Sterbenz): the factor exp(-i*omega*t[0]) has modulus 1 and drops out of |F|^2.
 
     The sum over N times for M frequencies takes one of three paths, which
-    ``_path`` picks from the grids alone.  Tests gate both fast paths against
-    the direct quadrature at 1e-12 of the peak.  "Uniform" below means
-    equally spaced to within a few ulps, as ``np.linspace`` output is.
+    ``_path`` picks from s and the omega grid.  Tests gate both fast paths
+    against the direct quadrature at 1e-12 of the peak.  "Uniform" below
+    means equally spaced to within a few ulps, as ``np.linspace`` output is.
 
     - A non-uniform omega grid takes the direct O(N*M) quadrature, the
       reference.
@@ -108,15 +110,16 @@ def fourier_intensity(waveform: SampledWaveform, omega_grid) -> Spectrum:
     """
     og = np.asarray(omega_grid, dtype=float)
     _check_grid(og, "omega grid")
-    return Spectrum(og, _path(waveform.t, og)(waveform.amp, waveform.t, og))
+    s = waveform.t - waveform.t[0]
+    return Spectrum(og, _path(s, og)(waveform.amp, s, og))
 
 
 # Deviation from an exactly uniform grid, in units of eps * max|x|, below which
 # a grid counts as uniform.  np.linspace output deviates by up to ~2.  Treating
-# such grids as uniform moves each phase omega*t by a few times
-# _UNIFORM_ULPS * eps * max|omega| * max|t|: a small multiple of the rounding
-# the direct quadrature makes when it forms omega*t, and under 1e-12 rad while
-# max|omega| * max|t| < 1e3.
+# such grids as uniform moves each phase omega*s by a few times
+# _UNIFORM_ULPS * eps * max|omega| * (t span), s the offsets from the first
+# time: a small multiple of the rounding the direct quadrature makes when it
+# forms omega*s, and under 1e-12 rad while max|omega| * (t span) < 1e3.
 _UNIFORM_ULPS = 4.0
 
 
@@ -133,25 +136,25 @@ def _uniform(x: np.ndarray) -> bool:
 # 2.1e5 (16 x 200001), which is over the 1e-12 gate.
 _CHIRP_PHASE_CAP = 1e4
 
-def _path(t: np.ndarray, og: np.ndarray):
-    """The kernel ``fourier_intensity`` takes for these grids, by the rule its
-    docstring states."""
+def _path(s: np.ndarray, og: np.ndarray):
+    """The kernel ``fourier_intensity`` takes for the offsets s (s[0] == 0) and
+    the omega grid, by the rule its docstring states."""
     if not _uniform(og):
         return _direct_intensity
-    n, m = t.size, og.size
-    chirp_phase = 0.5 * (og[-1] - og[0]) * (t[-1] - t[0]) * max(n, m) ** 2 / ((m - 1) * (n - 1))
-    if chirp_phase <= _CHIRP_PHASE_CAP and _uniform(t):
+    n, m = s.size, og.size
+    chirp_phase = 0.5 * (og[-1] - og[0]) * s[-1] * max(n, m) ** 2 / ((m - 1) * (n - 1))
+    if chirp_phase <= _CHIRP_PHASE_CAP and _uniform(s):
         return _chirp_z_intensity
     return _nufft_intensity
 
 
-def _direct_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
-    """Reference path: the trapezoid sum for every omega, in blocks of _CHUNK."""
+def _direct_intensity(amp: np.ndarray, s: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """Reference path: the trapezoid sum over s for every omega, in blocks of _CHUNK."""
     intensity = np.empty(og.size)
     for start in range(0, og.size, _CHUNK):
         block = og[start:start + _CHUNK]
-        integrand = amp * np.exp(-1j * np.outer(block, t))
-        f = np.trapezoid(integrand, t, axis=1)
+        integrand = amp * np.exp(-1j * np.outer(block, s))
+        f = np.trapezoid(integrand, s, axis=1)
         intensity[start:start + _CHUNK] = f.real ** 2 + f.imag ** 2
     return intensity
 
@@ -168,14 +171,13 @@ _NUFFT_SPREAD = 14
 _NUFFT_BLOCK = 512
 
 
-def _nufft_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
-    """The trapezoid sum on a uniform omega grid by a type-1 nonuniform FFT
-    with Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004).
+def _nufft_intensity(amp: np.ndarray, s: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """The trapezoid sum over s on a uniform omega grid by a type-1 nonuniform
+    FFT with Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004).
 
-    With omega_m = w0 + m*d, M0 = M//2, offsets s = t - t[0] and
-    c_k = w_k * amp_k * exp(-i*(w0 + M0*d)*s_k), F_m is, up to a
-    unit-modulus factor that drops out of |F|^2, the 2*pi-periodic sum
-    f(j) = sum_k c_k exp(-i*j*x_k) at j = m - M0 with x_k = d*s_k.  The
+    With omega_m = w0 + m*d, M0 = M//2 and
+    c_k = w_k * amp_k * exp(-i*(w0 + M0*d)*s_k), F_m is the 2*pi-periodic
+    sum f(j) = sum_k c_k exp(-i*j*x_k) at j = m - M0 with x_k = d*s_k.  The
     samples c_k are spread by the periodic Gaussian exp(-x^2/(4*tau)) onto
     L equally spaced points of [0, 2*pi); one FFT of that grid gives, for
     |j| < L/2, sqrt(tau/pi) * exp(-j^2*tau) * f(j), and dividing by that
@@ -186,9 +188,8 @@ def _nufft_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarr
     m = og.size
     m0 = m // 2
     d = (og[-1] - og[0]) / (m - 1)
-    s = t - t[0]
-    dt = np.diff(t)
-    w = np.zeros(t.size)  # trapezoid weights
+    dt = np.diff(s)
+    w = np.zeros(s.size)  # trapezoid weights
     w[:-1] += 0.5 * dt
     w[1:] += 0.5 * dt
     c = w * amp * np.exp(-1j * (og[0] + m0 * d) * s)
@@ -204,7 +205,7 @@ def _nufft_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarr
     g_all = np.empty((_NUFFT_BLOCK, offsets.size))
     idx_all = np.empty(g_all.shape, np.intp)
     val_all = np.empty(g_all.shape)
-    for start in range(0, t.size, _NUFFT_BLOCK):
+    for start in range(0, s.size, _NUFFT_BLOCK):
         rows = slice(start, start + _NUFFT_BLOCK)
         u = s[rows] * (d / h)  # x_k in grid steps; the Gaussian's period is `size` of them
         base = np.floor(u)
@@ -228,14 +229,13 @@ def _nufft_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarr
     return f.real ** 2 + f.imag ** 2
 
 
-def _chirp_z_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.ndarray:
-    """The trapezoid sum on uniform grids as one Bluestein FFT convolution.
+def _chirp_z_intensity(amp: np.ndarray, s: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """The trapezoid sum over uniform s and omega grids as one Bluestein FFT convolution.
 
-    With t_k = t0 + k*h and omega_m = w0 + m*d, the phase omega_m*t_k is
-    w0*t0 + w0*(t_k - t0) + m*d*t0 + a*m*k with a = d*h.  The terms in m alone
-    are unit-modulus factors that drop out of |F|^2, and
-    m*k = (m^2 + k^2 - (m-k)^2)/2 turns the sum over k into a convolution
-    with the chirp exp(i*a*j^2/2).
+    With s_k = k*h and omega_m = w0 + m*d, the phase omega_m*s_k is
+    w0*s_k + a*m*k with a = d*h, and m*k = (m^2 + k^2 - (m-k)^2)/2 turns the
+    sum over k into a convolution with the chirp exp(i*a*j^2/2), times
+    exp(-i*a*m^2/2), a unit-modulus factor that drops out of |F|^2.
 
     The chirp phase reaches a*max(N,M)^2/2, about the omega span times the t
     span times max(N,M)/(2*min(N,M)), and its rounding sets the error against
@@ -244,14 +244,14 @@ def _chirp_z_intensity(amp: np.ndarray, t: np.ndarray, og: np.ndarray) -> np.nda
     route such lopsided grids here: above ``_CHIRP_PHASE_CAP`` they take the
     NUFFT.
     """
-    n, m = t.size, og.size
-    h = (t[-1] - t[0]) / (n - 1)
+    n, m = s.size, og.size
+    h = s[-1] / (n - 1)
     a = (og[-1] - og[0]) / (m - 1) * h
     j = np.arange(max(n, m), dtype=float)
     chirp = np.exp(0.5j * a * j * j)
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
-    x = w * amp * np.exp(-1j * og[0] * (t - t[0])) * chirp[:n].conj()
+    x = w * amp * np.exp(-1j * og[0] * s) * chirp[:n].conj()
     size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
     c = np.zeros(size, dtype=complex)
     c[:m] = chirp[:m]

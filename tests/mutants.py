@@ -76,9 +76,10 @@ MUTANTS = [
     Mutant("series cutoff 1e-4 -> 1e-1", WAV, "_SERIES_CUTOFF = 1e-4", "_SERIES_CUTOFF = 1e-1"),
     Mutant("rectangular_fwhm tau check dropped", WAV,
            '    if not math.isfinite(tau) or tau <= 0.0:\n        raise ValueError("tau must be positive")\n', ""),
-    Mutant("series without its x^4/360 term", WAV, "1.0 - xs * xs / 12.0 + xs ** 4 / 360.0", "1.0 - xs * xs / 12.0",
-           equivalent="below the 1e-4 cutoff the term is under 3e-19 of the peak, below one ulp of the series' sum"),
     # The sampled spectra.
+    Mutant("kernels see absolute times", SPE, "    s = waveform.t - waveform.t[0]\n", "    s = waveform.t\n"),
+    Mutant("path rule on absolute times", SPE, "_path(s, og)(waveform.amp, s, og)",
+           "_path(waveform.t, og)(waveform.amp, s, og)"),
     Mutant("uniform-grid tolerance 4 -> 4000 ulps", SPE, "_UNIFORM_ULPS = 4.0", "_UNIFORM_ULPS = 4000.0"),
     Mutant("chirp-phase cap x1000", SPE, "_CHIRP_PHASE_CAP = 1e4", "_CHIRP_PHASE_CAP = 1e7"),
     Mutant("NUFFT spread 14 -> 9", SPE, "_NUFFT_SPREAD = 14", "_NUFFT_SPREAD = 9"),
@@ -111,8 +112,11 @@ MUTANTS = [
            "    try:\n        _check_args(args.k, args.n, args.seed)\n    except ValueError as exc:\n"
            "        raise UsageError(str(exc)) from exc\n", ""),
     Mutant("CSV line-break check dropped", CLI,
-           '            if csv_run and isinstance(value, str) and ("\\n" in value or "\\r" in value):\n'
+           "            if csv_run and isinstance(value, str) and value.splitlines() not in ([], [value]):\n"
            '                raise UsageError(f"--{name} must not hold a line break with --format csv")\n', ""),
+    Mutant("UTF-8 check dropped", CLI,
+           '            if csv_run and isinstance(value, str) and value.encode(errors="ignore").decode() != value:\n'
+           '                raise UsageError(f"--{name} must be UTF-8 text with --format csv")\n', ""),
     Mutant("loader loads every module", INIT, "        if name in globals():\n",
            '        if name in globals() and module.__name__ == f"{__name__}.spectral":\n'),
 ]

@@ -163,6 +163,24 @@ class TestSpectrum:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_epoch_times_give_the_results_of_their_offsets(self, capsys, tmp_path):
+        # Seconds since the epoch, each moved by up to 1 ulp (1.2e-7 s) as a
+        # clock export may round them, and the same samples as offsets.
+        t = 1e9 + np.linspace(0.0, 2.0, 2048)
+        t += np.random.default_rng(1).integers(-1, 2, t.size) * np.spacing(t)
+        s = t - t[0]
+        amp = np.exp(10.0j * s)
+        docs = []
+        for name, times in (("epoch.csv", t), ("offsets.csv", s)):
+            (tmp_path / name).write_text("t,re,im\n" + "".join(
+                f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(times.tolist(), amp.tolist())))
+            code, doc = run_json(capsys, ["spectrum", "--input", str(tmp_path / name), "--omega-min", "2",
+                                          "--omega-max", "18", "--points", "301"])
+            assert code == 0
+            docs.append(doc["results"])
+        assert docs[0] == docs[1]
+        assert docs[0]["first_zero_halfwidth"] == pytest.approx(math.pi, rel=1e-5)
+
     def test_sampled_width_between_samples(self, capsys, tmp_path):
         # No omega sample comes near the nulls at 10 +- pi, so a scan for a
         # sample below 1e-6 of the peak would find none here.
@@ -954,7 +972,8 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=["lf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"])
     @pytest.mark.parametrize("flag,argv", [
         ("--output", ["width", "--omega0", "1", "--tau", "1"]),
         ("--input", ["spectrum", "--omega-min", "2", "--omega-max", "18", "--points", "301"]),
@@ -970,6 +989,27 @@ class TestUsageErrors:
         argv = [*argv, flag, path]
         assert main([*argv, "--format", "csv"]) == 2
         assert capsys.readouterr() == ("", f"error: {flag} must not hold a line break with --format csv\n")
+        assert os.listdir() == ([path] if flag == "--input" else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(Path(path).read_text() if flag == "--output" else out)
+        assert doc["config"][flag[2:]] == path
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--output", ["width", "--omega0", "1", "--tau", "1"]),
+        ("--input", ["spectrum", "--omega-min", "2", "--omega-max", "18", "--points", "301"]),
+        ("--dump", ["recoil", "--k", "1", "--n", "10"]),
+    ], ids=["output", "input", "dump"])
+    def test_non_utf8_path_is_refused_in_csv(self, capsys, tmp_path, monkeypatch, flag, argv):
+        """A path byte that is not UTF-8 (0x85 here) reaches argv as a lone
+        surrogate, which the UTF-8 CSV header cannot hold; JSON escapes it."""
+        monkeypatch.chdir(tmp_path)
+        path = os.fsdecode(b"o\x85ut.csv")
+        if flag == "--input":
+            os.rename(write_clean_waveform(tmp_path), path)
+        argv = [*argv, flag, path]
+        assert main([*argv, "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must be UTF-8 text with --format csv\n")
         assert os.listdir() == ([path] if flag == "--input" else [])
         assert main(argv) == 0
         out = capsys.readouterr().out

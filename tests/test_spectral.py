@@ -140,7 +140,7 @@ class TestChirpZGate:
         (2048, 1001, 0.0, 2.5, 1),  # the benchmark's spectrum-sampled shape
         (20000, 4001, 0.0, 2.5, 8),
         (4096, 20001, 0.0, 2.5, 20),
-        (2048, 1001, 100.0, 2.5, 1),  # time grid far from the origin
+        (2048, 1001, 100.0, 2.5, 1),  # far from the origin: offsets carry ulp(100) rounding, so the NUFFT
         (2, 2, 0.0, 0.1, 1),
         (3, 7, 0.0, 0.5, 1),
         (16, 200001, 0.0, 2.5, 200),  # over the chirp phase cap: the NUFFT
@@ -235,7 +235,7 @@ class TestBlockedGate:
         wf = jittered_waveform(2048)
         t = 1e6 + wf.t
         omega = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
-        fast = _nufft_intensity(wf.amp, t, omega)
+        fast = fourier_intensity(SampledWaveform(t, wf.amp), omega).intensity
         ref = _direct_intensity(wf.amp, t - t[0], omega)
         assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
@@ -327,6 +327,64 @@ class TestPathRule:
         np.testing.assert_array_equal(fast, kernel(wf.amp, wf.t, omega))
         ref = _direct_intensity(wf.amp, wf.t, omega[::stride])
         assert np.max(np.abs(fast[::stride] - ref)) <= CHIRP_Z_GATE * ref.max()
+
+    @pytest.mark.parametrize("t,kernel", [
+        # The offsets t - 100 carry the rounding of ulp(100) = 1.4e-14, over
+        # the 4 eps of their span that _uniform allows; the NUFFT costs 2 to 3
+        # times chirp-z here.
+        (np.linspace(100.0, 102.0, 2048), _nufft_intensity),
+        # t - (-1) is exact in [-1, -0.5] and rounds to ulp(2) at most above.
+        (np.linspace(-1.0, 1.0, 2048), _chirp_z_intensity),
+    ], ids=["uniform-at-100", "uniform-from-minus-1"])
+    def test_path_on_offsets(self, t, kernel):
+        wf = SampledWaveform(t, 1.3 * np.exp(10.0j * t))
+        s = t - t[0]
+        assert _path(s, SPAN) is kernel
+        fast = fourier_intensity(wf, SPAN).intensity
+        np.testing.assert_array_equal(fast, kernel(wf.amp, s, SPAN))
+        ref = _direct_intensity(wf.amp, s, SPAN)
+        assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
+
+
+STRETCHED = 10.0 + 5.0 * np.sinh(np.linspace(-1.0, 1.0, 201)) / np.sinh(1.0)
+
+
+class TestTimeOrigin:
+    """Where a waveform's clock starts changes no bit of its spectrum:
+    fourier_intensity sums on the offsets from the first time, which are exact
+    within a factor of 2 of it (Sterbenz)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(origin=st.one_of(st.just(0.0), st.floats(-1e12, 1e12)), n=st.integers(2, 300),
+           span=st.floats(0.5, 50.0), jitter=st.floats(0.0, 0.4), stretched=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_shift_changes_no_bit(self, origin, n, span, jitter, stretched, seed):
+        rng = np.random.default_rng(seed)
+        t = origin + np.linspace(0.0, span, n)
+        t[1:-1] += rng.uniform(-jitter, jitter, n - 2) * (span / (n - 1))
+        s = t - t[0]
+        assume(np.all(np.diff(t) > 0.0) and np.all(np.diff(s) > 0.0))
+        amp = np.exp(10.0j * s) * (1.0 + 0.2 * rng.normal(size=n))
+        omega = STRETCHED if stretched else np.linspace(5.0, 15.0, 201)
+        np.testing.assert_array_equal(fourier_intensity(SampledWaveform(t, amp), omega).intensity,
+                                      fourier_intensity(SampledWaveform(s, amp), omega).intensity)
+
+    @pytest.mark.parametrize("jittered", [False, True], ids=["linspace", "ulp-jitter"])
+    @pytest.mark.parametrize("t0", [1e3, 1e6, 1e9])
+    def test_far_origin_matches_direct_sum_on_offsets(self, t0, jittered):
+        # Summed on absolute times, these grids would read up to 3.5e-7 of
+        # peak off at t0 = 1e9 by chirp-z, which takes them as uniform, and
+        # 1.3e-7 by the direct sum.
+        t = np.linspace(t0, t0 + 2.1, 257)
+        if jittered:
+            t += np.random.default_rng(7).integers(-1, 2, t.size) * np.spacing(t)
+        s = t - t[0]
+        wf = SampledWaveform(t, 1.3 * np.exp(10.0j * s))
+        for omega, kernel in ((np.linspace(5.0, 15.0, 201), _nufft_intensity), (STRETCHED, _direct_intensity)):
+            assert _path(s, omega) is kernel
+            fast = fourier_intensity(wf, omega).intensity
+            ref = _direct_intensity(wf.amp, s, omega)
+            assert np.max(np.abs(fast - ref)) <= CHIRP_Z_GATE * ref.max()
 
 
 # Relative bound on a sampled first-null half-width at >= 7 samples per
