@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -228,6 +229,12 @@ def _is_number(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _check_distinct(path: str | None, flag: str, output: str | None) -> None:
+    """Refuse an ``--output`` that names the file at ``path``: the document would overwrite it."""
+    if path is not None and output is not None and os.path.realpath(path) == os.path.realpath(output):
+        raise UsageError(f"{flag} and --output name the same file")
+
+
 def _omega_grid(args):
     import numpy as np
 
@@ -253,6 +260,7 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
 
     grid = _omega_grid(args)
     if args.input is not None:
+        _check_distinct(args.input, "--input", args.output)
         waveform = _read_waveform(args.input)
         spec = fourier_intensity(waveform, grid)
         i_peak = int(np.argmax(spec.intensity))
@@ -323,6 +331,7 @@ def cmd_recoil(args) -> tuple[dict, None]:
         _check_args(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_distinct(args.dump, "--dump", args.output)
     stats, cos_t, phi = _draw(args.k, args.n, args.seed)
     if args.dump is not None:
         # The momenta of one block at a time: the (n, 3) array is never made.

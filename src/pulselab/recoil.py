@@ -41,27 +41,18 @@ def _check_args(k: float, n: int, seed: int) -> None:
 
 
 def _draw_angles(rng: np.random.Generator, n: int):
-    cos_t = rng.random(n)
-    np.subtract(1.0, cos_t, out=cos_t)  # uniform on (0, 1]: excludes the z = 0 rim
-    phi = rng.random(n)
-    np.multiply(2.0 * np.pi, phi, out=phi)
-    return cos_t, phi
+    # cos_t, drawn first, is uniform on (0, 1]: it excludes the z = 0 rim.
+    return 1.0 - rng.random(n), 2.0 * np.pi * rng.random(n)
 
 
 def _momenta(k: float, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Rows k * (sin_t cos_phi, sin_t sin_phi, cos_t), written column by column
-    into the one (n, 3) result; the trig values stay contiguous."""
+    into the one (n, 3) result, which stacking the columns would copy."""
     out = np.empty((cos_t.size, 3))
-    sin_t = cos_t * cos_t
-    np.subtract(1.0, sin_t, out=sin_t)
-    np.sqrt(sin_t, out=sin_t)
-    trig = np.cos(phi)
-    np.multiply(sin_t, trig, out=trig)
-    np.multiply(k, trig, out=out[:, 0])
-    np.sin(phi, out=trig)
-    np.multiply(sin_t, trig, out=trig)
-    np.multiply(k, trig, out=out[:, 1])
-    np.multiply(k, cos_t, out=out[:, 2])
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    out[:, 0] = k * (sin_t * np.cos(phi))
+    out[:, 1] = k * (sin_t * np.sin(phi))
+    out[:, 2] = k * cos_t
     return out
 
 

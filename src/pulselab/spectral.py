@@ -164,10 +164,10 @@ def _direct_intensity(amp: np.ndarray, s: np.ndarray, og: np.ndarray) -> np.ndar
 # measured 1e-13 to 4.5e-13.
 _NUFFT_SPREAD = 14
 # Samples the NUFFT spreads per block, which bounds its working memory as
-# _CHUNK bounds the direct path's: three (_NUFFT_BLOCK x 2*_NUFFT_SPREAD)
-# scratch arrays (344 KB) plus ~72 B per sample for the weighted samples c_k
-# and their temporaries.  Blocks of 256 to 1024 ran alike on the jittered
-# 2048 x 1001 benchmark requests.
+# _CHUNK bounds the direct path's: a block's (_NUFFT_BLOCK x 2*_NUFFT_SPREAD)
+# temporaries, made afresh for each block, plus ~72 B per sample for the
+# weighted samples c_k and their temporaries.  Blocks of 256 to 1024 ran
+# alike on the jittered 2048 x 1001 benchmark requests.
 _NUFFT_BLOCK = 512
 
 
@@ -201,27 +201,18 @@ def _nufft_intensity(amp: np.ndarray, s: np.ndarray, og: np.ndarray) -> np.ndarr
     h = 2.0 * math.pi / size  # grid step
     offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
     re, im = np.zeros(size), np.zeros(size)
-    # One block's scratch: distances, then Gaussian weights; grid indices; spread values.
-    g_all = np.empty((_NUFFT_BLOCK, offsets.size))
-    idx_all = np.empty(g_all.shape, np.intp)
-    val_all = np.empty(g_all.shape)
     for start in range(0, s.size, _NUFFT_BLOCK):
         rows = slice(start, start + _NUFFT_BLOCK)
         u = s[rows] * (d / h)  # x_k in grid steps; the Gaussian's period is `size` of them
         base = np.floor(u)
-        g, idx, val = g_all[:u.size], idx_all[:u.size], val_all[:u.size]
-        np.subtract((u - base)[:, None], offsets, out=g)  # each sample's distance to its grid points
-        g *= g
-        g *= -h * h / (4.0 * tau)
-        np.exp(g, out=g)
-        np.add(base.astype(np.intp)[:, None], offsets, out=idx)
-        idx &= size - 1
+        g = (u - base)[:, None] - offsets  # each sample's distance to its grid points
+        g = np.exp(g * g * (-h * h / (4.0 * tau)))
+        idx = ((base.astype(np.intp)[:, None] + offsets) & (size - 1)).ravel()
         # np.add.at sums in sample order, as one np.bincount over all samples
         # would, so the blocks change no bit.  It runs ~8x slower given the
         # 2-d index than the 1-d one.
-        for part, out in ((c.real[rows], re), (c.imag[rows], im)):
-            np.multiply(g, part[:, None], out=val)
-            np.add.at(out, idx.ravel(), val.ravel())
+        np.add.at(re, idx, (g * c.real[rows, None]).ravel())
+        np.add.at(im, idx, (g * c.imag[rows, None]).ravel())
     grid = re + 1j * im
     j = np.arange(-m0, m - m0)
     # numpy loads np.fft on first access, so importing pulselab does not pay for it.

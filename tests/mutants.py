@@ -83,8 +83,12 @@ MUTANTS = [
     Mutant("uniform-grid tolerance 4 -> 4000 ulps", SPE, "_UNIFORM_ULPS = 4.0", "_UNIFORM_ULPS = 4000.0"),
     Mutant("chirp-phase cap x1000", SPE, "_CHIRP_PHASE_CAP = 1e4", "_CHIRP_PHASE_CAP = 1e7"),
     Mutant("NUFFT spread 14 -> 9", SPE, "_NUFFT_SPREAD = 14", "_NUFFT_SPREAD = 9"),
-    Mutant("per-block bincount", SPE, "            np.add.at(out, idx.ravel(), val.ravel())",
-           "            out += np.bincount(idx.ravel(), val.ravel(), minlength=size)"),
+    Mutant("per-block bincount", SPE, "        np.add.at(re, idx, (g * c.real[rows, None]).ravel())\n"
+           "        np.add.at(im, idx, (g * c.imag[rows, None]).ravel())\n",
+           "        re += np.bincount(idx, (g * c.real[rows, None]).ravel(), minlength=size)\n"
+           "        im += np.bincount(idx, (g * c.imag[rows, None]).ravel(), minlength=size)\n"),
+    Mutant("NUFFT index not wrapped", SPE, "idx = ((base.astype(np.intp)[:, None] + offsets) & (size - 1)).ravel()",
+           "idx = (base.astype(np.intp)[:, None] + offsets).ravel()"),
     Mutant("null fit 0.05 -> 0.5", SPE, "_NULL_FIT = 0.05", "_NULL_FIT = 0.5"),
     Mutant("null fit bound side.size - 3 -> - 2", SPE, "2 <= rises[0] <= side.size - 3", "2 <= rises[0] <= side.size - 2"),
     Mutant("null bisection 60 -> 20 steps", SPE, "    for _ in range(60):", "    for _ in range(20):"),
@@ -98,8 +102,11 @@ MUTANTS = [
     Mutant("fwhm below half with <=", SPE, "np.flatnonzero(intensity < half)", "np.flatnonzero(intensity <= half)",
            equivalent="a sample exactly at half maximum gives the same crossing from either side of it"),
     # Recoil.
-    Mutant("draw without 1.0 -", REC, "    np.subtract(1.0, cos_t, out=cos_t)  # uniform on (0, 1]: excludes the z = 0 rim\n",
-           ""),
+    Mutant("draw without 1.0 -", REC, "    return 1.0 - rng.random(n), 2.0 * np.pi * rng.random(n)",
+           "    return rng.random(n), 2.0 * np.pi * rng.random(n)"),
+    Mutant("momenta sin and cos swapped", REC,
+           "    out[:, 0] = k * (sin_t * np.cos(phi))\n    out[:, 1] = k * (sin_t * np.sin(phi))",
+           "    out[:, 0] = k * (sin_t * np.sin(phi))\n    out[:, 1] = k * (sin_t * np.cos(phi))"),
     Mutant("std_kz with ddof=0", REC, "np.std(cos_t, ddof=1)", "np.std(cos_t, ddof=0)"),
     Mutant("recoil_stats without _check_args", REC, "    _check_args(k, n, seed)\n    return _draw(k, n, seed)[0]",
            "    return _draw(k, n, seed)[0]"),
@@ -117,6 +124,9 @@ MUTANTS = [
     Mutant("UTF-8 check dropped", CLI,
            '            if csv_run and isinstance(value, str) and value.encode(errors="ignore").decode() != value:\n'
            '                raise UsageError(f"--{name} must be UTF-8 text with --format csv")\n', ""),
+    Mutant("same-path check dropped", CLI,
+           "    if path is not None and output is not None and os.path.realpath(path) == os.path.realpath(output):\n"
+           '        raise UsageError(f"{flag} and --output name the same file")\n', ""),
     Mutant("loader loads every module", INIT, "        if name in globals():\n",
            '        if name in globals() and module.__name__ == f"{__name__}.spectral":\n'),
 ]

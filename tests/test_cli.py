@@ -1016,6 +1016,31 @@ class TestUsageErrors:
         doc = json.loads(Path(path).read_text() if flag == "--output" else out)
         assert doc["config"][flag[2:]] == path
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("alias", ["x", "./x", "link"], ids=["same", "dot", "symlink"])
+    @pytest.mark.parametrize("flag,argv", [
+        ("--input", ["spectrum", "--omega-min", "2", "--omega-max", "18", "--points", "301"]),
+        ("--dump", ["recoil", "--k", "1", "--n", "3"]),
+    ], ids=["input", "dump"])
+    def test_output_naming_the_input_or_dump_is_refused(self, capsys, tmp_path, monkeypatch, flag, argv,
+                                                         alias, fmt):
+        """The document would overwrite the waveform or the dump, so the run
+        refuses before it reads or writes anything."""
+        monkeypatch.chdir(tmp_path)
+        os.symlink("x", "link")
+        if flag == "--input":
+            os.rename(write_clean_waveform(tmp_path), "x")
+        names, waveform = sorted(os.listdir()), Path("x").read_bytes() if flag == "--input" else None
+        argv = [*argv, flag, alias, "--format", fmt]
+        assert main([*argv, "-o", "x"]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} and --output name the same file\n")
+        assert sorted(os.listdir()) == names
+        assert (Path("x").read_bytes() if flag == "--input" else None) == waveform
+        assert main([*argv, "-o", "y"]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(os.listdir()) == ["link", "x", "y"]
+
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["adjust", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
         assert main(argv) == 0

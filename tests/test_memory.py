@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from pulselab import Pulse, analytic_intensity
+from pulselab import Pulse, analytic_intensity, momentum_samples
 from pulselab.cli import main
 from pulselab.spectral import _nufft_intensity
 
@@ -49,3 +49,9 @@ def test_nufft_intensity():
     amp = np.exp(10j * t)
     omega = np.linspace(10.0 - 2.5 * np.pi, 10.0 + 2.5 * np.pi, 1001)
     assert heap_peak(lambda: _nufft_intensity(amp, t, omega)) / N <= 120
+
+
+def test_momentum_samples():
+    # the (n, 3) result is 24 B per sample; np.column_stack of the three columns read 72 B
+    momentum_samples(1.0, 10, 3)  # warm: the first call's one-off allocations are not per sample
+    assert heap_peak(lambda: momentum_samples(1.0, N, 3)) / N <= 60
