@@ -1,15 +1,15 @@
 """Command-line front end: spectrum, width, adjust, recoil subcommands.
 
 Each run is one parse -> compute -> emit pass in ``main``.  A command line is
-parsed once, by its command's own parser; the top-level parser sees only the
-lines that do not start with a command name.  The parsed flags, all of them,
-become the document's ``config``, so a run can be reproduced byte-for-byte
-from its own output.  The subcommand's ``cmd_*`` function turns them into
-``(results, table)``: scalars by name, and ``None`` or 1-D arrays by column
-name.  ``_emit`` writes JSON (the table's columns among the results), a
-CSV table under ``# key = value`` lines, or a two-row CSV of the results.
-Every JSON document, with a table or without, is written by one writer,
-``_json_chunks``, which is told by the table's keys where the arrays are.
+parsed once, by its command's own parser; the top-level parser sees only
+lines that do not start with a command name.  All the parsed flags become the
+document's ``config``, so a run can be reproduced byte-for-byte from its
+output; ``main``'s one pass over them holds every check on a path flag.  A
+``cmd_*`` function turns them into ``(results, table)``: scalars by name, and
+``None`` or 1-D arrays by column name (``cmd_recoil`` alone writes a file, the
+``--dump``).  ``_emit`` writes JSON, a CSV table under ``# key = value`` lines
+or a two-row CSV of the results; one writer, ``_json_chunks``, writes every
+JSON document, told by the table's keys where the arrays are.
 
 JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
@@ -189,7 +189,7 @@ def _read_waveform(path: str):
             amp.imag = parts[1]
         return SampledWaveform(t, amp)
     except (OSError, ValueError, csv.Error) as exc:
-        raise ValueError(f"cannot read waveform {path}: {exc}") from exc
+        raise ValueError(f"cannot read waveform {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _bad_value(path: str, column: dict, names: tuple) -> str | None:
@@ -229,12 +229,6 @@ def _is_number(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _check_distinct(path: str | None, flag: str, output: str | None) -> None:
-    """Refuse an ``--output`` that names the file at ``path``: the document would overwrite it."""
-    if path is not None and output is not None and os.path.realpath(path) == os.path.realpath(output):
-        raise UsageError(f"{flag} and --output name the same file")
-
-
 def _omega_grid(args):
     import numpy as np
 
@@ -260,7 +254,6 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
 
     grid = _omega_grid(args)
     if args.input is not None:
-        _check_distinct(args.input, "--input", args.output)
         waveform = _read_waveform(args.input)
         spec = fourier_intensity(waveform, grid)
         i_peak = int(np.argmax(spec.intensity))
@@ -331,7 +324,6 @@ def cmd_recoil(args) -> tuple[dict, None]:
         _check_args(args.k, args.n, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _check_distinct(args.dump, "--dump", args.output)
     stats, cos_t, phi = _draw(args.k, args.n, args.seed)
     if args.dump is not None:
         # The momenta of one block at a time: the (n, 3) array is never made.
@@ -431,6 +423,14 @@ def main(argv=None) -> int:
                 raise UsageError(f"--{name} must not hold a line break with --format csv")
             if csv_run and isinstance(value, str) and value.encode(errors="ignore").decode() != value:
                 raise UsageError(f"--{name} must be UTF-8 text with --format csv")
+        output = config["output"]
+        for flag in ("input", "dump"):  # the document must not overwrite the waveform or the dump
+            try:  # by file identity, so a hard link counts
+                same = None not in (config.get(flag), output) and os.path.samefile(config[flag], output)
+            except OSError:  # a file not there yet: by name, once symlinks and "." are resolved
+                same = os.path.realpath(config[flag]) == os.path.realpath(output)
+            if same:
+                raise UsageError(f"--{flag} and --output name the same file")
         with warnings.catch_warnings():
             # Inputs are checked for emptiness and results for finiteness, so a
             # warning (numpy's overflow or empty-input one) would only repeat them.

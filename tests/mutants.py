@@ -125,8 +125,12 @@ MUTANTS = [
            '            if csv_run and isinstance(value, str) and value.encode(errors="ignore").decode() != value:\n'
            '                raise UsageError(f"--{name} must be UTF-8 text with --format csv")\n', ""),
     Mutant("same-path check dropped", CLI,
-           "    if path is not None and output is not None and os.path.realpath(path) == os.path.realpath(output):\n"
-           '        raise UsageError(f"{flag} and --output name the same file")\n', ""),
+           '            if same:\n                raise UsageError(f"--{flag} and --output name the same file")\n', ""),
+    Mutant("same file by name only", CLI, "os.path.samefile(config[flag], output)",
+           "os.path.realpath(config[flag]) == os.path.realpath(output)"),
+    Mutant("a file not there yet never the same", CLI,
+           "                same = os.path.realpath(config[flag]) == os.path.realpath(output)\n",
+           "                same = False\n"),
     Mutant("loader loads every module", INIT, "        if name in globals():\n",
            '        if name in globals() and module.__name__ == f"{__name__}.spectral":\n'),
 ]

@@ -146,8 +146,11 @@ class TestSpectrum:
         assert doc["config"]["de"] == float(value)
 
     def test_unreadable_input(self, capsys, tmp_path):
-        assert main(["spectrum", "--input", str(tmp_path / "missing.csv"),
-                     "--omega-min", "4", "--omega-max", "16", "--points", "10"]) == 1
+        """The line names the path once and gives the reason without an errno."""
+        for path, reason in [(tmp_path / "missing.csv", "No such file or directory"), (tmp_path, "Is a directory")]:
+            assert main(["spectrum", "--input", str(path), "--omega-min", "4", "--omega-max", "16",
+                         "--points", "10"]) == 1
+            assert capsys.readouterr() == ("", f"error: cannot read waveform {path}: {reason}\n")
 
     @pytest.mark.parametrize("omega_min,omega_max,points,message", [
         ("10", "11", "101", "spectrum has no interior maximum"),
@@ -1017,7 +1020,7 @@ class TestUsageErrors:
         assert doc["config"][flag[2:]] == path
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("alias", ["x", "./x", "link"], ids=["same", "dot", "symlink"])
+    @pytest.mark.parametrize("alias", ["x", "./x", "link", "hard"], ids=["same", "dot", "symlink", "hardlink"])
     @pytest.mark.parametrize("flag,argv", [
         ("--input", ["spectrum", "--omega-min", "2", "--omega-max", "18", "--points", "301"]),
         ("--dump", ["recoil", "--k", "1", "--n", "3"]),
@@ -1025,21 +1028,35 @@ class TestUsageErrors:
     def test_output_naming_the_input_or_dump_is_refused(self, capsys, tmp_path, monkeypatch, flag, argv,
                                                          alias, fmt):
         """The document would overwrite the waveform or the dump, so the run
-        refuses before it reads or writes anything."""
+        refuses before it reads or writes anything.  A hard link is the same
+        file under another name: for the dump, one of a dump already there."""
         monkeypatch.chdir(tmp_path)
         os.symlink("x", "link")
         if flag == "--input":
             os.rename(write_clean_waveform(tmp_path), "x")
-        names, waveform = sorted(os.listdir()), Path("x").read_bytes() if flag == "--input" else None
+        elif alias == "hard":
+            assert main([*argv, "--dump", "x", "-o", os.devnull]) == 0
+        if alias == "hard":
+            os.link("x", "hard")
+        names = sorted(os.listdir())
+        before = Path("x").read_bytes() if "x" in names else None
         argv = [*argv, flag, alias, "--format", fmt]
         assert main([*argv, "-o", "x"]) == 2
         assert capsys.readouterr() == ("", f"error: {flag} and --output name the same file\n")
         assert sorted(os.listdir()) == names
-        assert (Path("x").read_bytes() if flag == "--input" else None) == waveform
+        assert (Path("x").read_bytes() if "x" in names else None) == before
         assert main([*argv, "-o", "y"]) == 0
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
-        assert sorted(os.listdir()) == ["link", "x", "y"]
+        assert sorted(os.listdir()) == sorted({*names, "x", "y"})
+
+    def test_same_file_is_refused_before_the_commands_checks(self, capsys, tmp_path, monkeypatch):
+        """On a line with two usage errors the flag pass's comes first."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "--input", "x", "--omega-min", "4", "--omega-max", "16", "--points", "1",
+                     "-o", "x"]) == 2
+        assert capsys.readouterr() == ("", "error: --input and --output name the same file\n")
+        assert os.listdir() == []
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["adjust", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
