@@ -9,7 +9,10 @@ output; ``main``'s one pass over them holds every check on a path flag.  A
 ``None`` or 1-D arrays by column name (``cmd_recoil`` alone writes a file, the
 ``--dump``).  ``_emit`` writes JSON, a CSV table under ``# key = value`` lines
 or a two-row CSV of the results; one writer, ``_json_chunks``, writes every
-JSON document, told by the table's keys where the arrays are.
+JSON document, told by the table's keys where the arrays are.  A table of more
+than one block is formatted on two CPUs where the process may run on two: a
+forked child formats every other block (``_texts``), and the bytes are those
+one process writes.
 
 JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
@@ -30,7 +33,6 @@ import os
 import re
 import sys
 import warnings
-from itertools import chain
 
 from . import __version__
 from .adjustment import (
@@ -50,13 +52,83 @@ class UsageError(Exception):
 
 # Table rows (or JSON array items) formatted per call: output is written in
 # blocks this size, so the transient lists and strings of one block bound the
-# memory emit adds, however long the table.
+# memory emit adds, however long the table (two blocks when a child formats
+# every other one).  A table of one block is formatted in this process alone:
+# a fork and its reaping cost about as much as formatting one block.
 _BLOCK_ROWS = 1 << 12
 
 
-def _blocks(n: int):
+def _blocks(n: int) -> list:
     """Slices that cut ``n`` rows into blocks of at most ``_BLOCK_ROWS``."""
-    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+    return [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
+
+
+def _texts(make, parts: list):
+    """``make(part)`` for each of ``parts`` in order, on two CPUs when there are
+    two parts or more and the process may run on two CPUs.
+
+    A forked child makes ``parts[1::2]`` and writes each text to a pipe as
+    UTF-8, its byte length first; this process makes the others and reads the
+    child's in turn.  The pipe holds less than a block's text, so each side
+    runs about one part ahead of the reader.  The child leaves by
+    ``os._exit``: it never returns into the caller, and never flushes the
+    buffers it inherited.  A child that ends before its last text, or exits
+    with a nonzero status, fails the run with a ``ValueError``.  A consumer
+    that stops early (a failed write, say) closes this generator, which kills
+    and reaps the child.  Without a second CPU, or where ``os.pipe`` or
+    ``os.fork`` fails, every part is made here.
+    """
+    if len(parts) < 2 or not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+        yield from map(make, parts)
+        return
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        yield from map(make, parts)
+        return
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        yield from map(make, parts)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for part in parts[1::2]:
+                    data = make(part).encode()
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    status = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            for i, part in enumerate(parts):
+                if i % 2 == 0:
+                    yield make(part)
+                    continue
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little")
+                data = pipe.read(size) if len(head) == 8 else b""
+                if len(head) < 8 or len(data) < size:
+                    break  # the child ended before its last text
+                yield data.decode()
+            else:
+                status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:  # stopped early: the child may still run
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0:
+        raise ValueError("cannot format the table: the process formatting every other block failed")
 
 
 def _fmt(value) -> str:
@@ -66,7 +138,9 @@ def _fmt(value) -> str:
 
 
 def _write(chunks, output: str | None) -> None:
-    """Write text chunks in order to ``output``, or to stdout when it is None."""
+    """Write the text chunks of the generator ``chunks`` in order to ``output``,
+    or to stdout when it is None, and close the generator: a child formatting
+    its blocks is reaped however the write ends."""
     try:
         if output is None:
             sys.stdout.writelines(chunks)
@@ -77,6 +151,8 @@ def _write(chunks, output: str | None) -> None:
                 fh.writelines(chunks)
     except OSError as exc:
         raise ValueError(f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}") from exc
+    finally:
+        chunks.close()
 
 
 def _require_finite(results: dict) -> None:
@@ -103,12 +179,22 @@ def _json_chunks(config: dict, results: dict, table: dict):
     config_text = json.dumps(config, sort_keys=True, separators=(",\n    ", ": "))[1:-1]
     yield '{\n  "config": {\n    ' + config_text + '\n  },\n  "results": {'
     sep = ",\n      "
-    for i, key in enumerate(sorted({**results, **table})):
+    keys = sorted({**results, **table})
+    # Every block of every array in one sequence, so that a document forks once
+    # at most; a table of one block (one part an array) is made here alone.
+    parts = [(key, rows) for key in keys if key in table for rows in _blocks(len(table[key]))]
+
+    def make(part):
+        key, rows = part
+        return (sep if rows.start else sep[1:]) + sep.join(map(repr, table[key][rows].tolist()))
+
+    texts = _texts(make, parts) if len(parts) > len(table) else map(make, parts)
+    for i, key in enumerate(keys):
         yield (",\n    " if i else "\n    ") + json.dumps(key) + ": "
         if key in table:
             yield "["
-            for rows in _blocks(len(table[key])):
-                yield (sep if rows.start else sep[1:]) + sep.join(map(repr, table[key][rows].tolist()))
+            for _ in _blocks(len(table[key])):
+                yield next(texts)
             yield "\n    ]"
         elif isinstance(results[key], float):
             yield float.__repr__(results[key])
@@ -122,35 +208,46 @@ def _header(*sections: dict) -> str:
     return "".join(f"# {key} = {_fmt(value)}\n" for section in sections for key, value in sorted(section.items()))
 
 
-def _csv_table(columns: str, blocks):
+def _csv_table(columns: str, block, n: int):
     """Chunks of a CSV table: the ``columns`` line, then one ``%.17g`` row per row
-    of each 2-D float array in ``blocks``; ``"%.17g" % x`` is the text ``_fmt(x)``
-    gives.  A block is made only when its text is due."""
+    of the 2-D float array ``block(rows)`` for each slice ``rows`` that cuts
+    ``n`` rows into blocks; ``"%.17g" % x`` is the text ``_fmt(x)`` gives.  A
+    block is made only when its text is due."""
+
+    def make(rows):
+        table = block(rows)
+        return (",".join(["%.17g"] * table.shape[1]) + "\n") * len(table) % tuple(table.ravel().tolist())
+
     yield columns + "\n"
-    for block in blocks:
-        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-        yield row * len(block) % tuple(block.ravel().tolist())
+    yield from _texts(make, _blocks(n))
 
 
-def _emit(config: dict, results: dict, table: dict | None) -> None:
-    """Write the run's document to ``config["output"]``, or to stdout when it is None.
+def _document(config: dict, results: dict, table: dict | None):
+    """The run's document in text chunks: JSON, a CSV table under
+    ``# key = value`` lines, or a two-row CSV of the results.
 
     JSON has one writer, ``_json_chunks``, for every command; a table-less
     document is the same writer given no arrays."""
-    _require_finite(results)
     if config["format"] == "json":
-        chunks = chain(_json_chunks(config, results, table or {}), ["\n"])
+        yield from _json_chunks(config, results, table or {})
+        yield "\n"
     elif table is not None:
         import numpy as np
 
         columns = list(table.values())
-        blocks = (np.column_stack([c[rows] for c in columns]) for rows in _blocks(len(columns[0])))
-        chunks = chain([_header(config, results)], _csv_table(",".join(table), blocks))
+        yield _header(config, results)
+        yield from _csv_table(",".join(table), lambda rows: np.column_stack([c[rows] for c in columns]),
+                              len(columns[0]))
     else:
         # Nothing to quote: the names are identifiers, the values numbers or the generator's name.
         names = sorted(results)
-        chunks = [_header(config), ",".join(names) + "\n", ",".join(_fmt(results[k]) for k in names) + "\n"]
-    _write(chunks, config["output"])
+        yield _header(config) + ",".join(names) + "\n" + ",".join(_fmt(results[k]) for k in names) + "\n"
+
+
+def _emit(config: dict, results: dict, table: dict | None) -> None:
+    """Write the run's document to ``config["output"]``, or to stdout when it is None."""
+    _require_finite(results)
+    _write(_document(config, results, table), config["output"])
 
 
 def _read_waveform(path: str):
@@ -327,8 +424,7 @@ def cmd_recoil(args) -> tuple[dict, None]:
     stats, cos_t, phi = _draw(args.k, args.n, args.seed)
     if args.dump is not None:
         # The momenta of one block at a time: the (n, 3) array is never made.
-        momenta = (_momenta(args.k, cos_t[rows], phi[rows]) for rows in _blocks(args.n))
-        _write(_csv_table("kx,ky,kz", momenta), args.dump)
+        _write(_csv_table("kx,ky,kz", lambda rows: _momenta(args.k, cos_t[rows], phi[rows]), args.n), args.dump)
     return stats._asdict(), None
 
 
@@ -417,6 +513,8 @@ def main(argv=None) -> int:
         config = {name: value for name, value in vars(args).items() if name != "func"}
         csv_run = config["format"] == "csv"  # a CSV header holds each path as is, on its own line
         for name, value in config.items():
+            if value == "":  # only a path flag can be empty; "" names no file, and resolves as "."
+                raise UsageError(f"--{name} must not be empty")
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
             if csv_run and isinstance(value, str) and value.splitlines() not in ([], [value]):

@@ -131,6 +131,16 @@ MUTANTS = [
     Mutant("a file not there yet never the same", CLI,
            "                same = os.path.realpath(config[flag]) == os.path.realpath(output)\n",
            "                same = False\n"),
+    # Two CPUs format one table.
+    Mutant("one-block tables fork", CLI,
+           "    texts = _texts(make, parts) if len(parts) > len(table) else map(make, parts)\n",
+           "    texts = _texts(make, parts)\n"),
+    Mutant("parent makes the child's parts", CLI, "                yield data.decode()\n",
+           "                yield make(part)\n"),
+    Mutant("child not reaped", CLI, "                status = os.waitpid(pid, 0)[1]\n", "                status = 0\n"),
+    Mutant("child failure ignored", CLI,
+           "                if len(head) < 8 or len(data) < size:\n"
+           "                    break  # the child ended before its last text\n", ""),
     Mutant("loader loads every module", INIT, "        if name in globals():\n",
            '        if name in globals() and module.__name__ == f"{__name__}.spectral":\n'),
 ]

@@ -512,7 +512,28 @@ def analytic_argv(a0, omega0, tau, omega_min, omega_max, points):
             f"--omega-min={omega_min!r}", f"--omega-max={omega_max!r}", f"--points={points}"]
 
 
+def set_cpus(monkeypatch, count):
+    """Let ``cli._texts`` see ``count`` CPUs: with two, a table of more than one
+    block is formatted by a forked child as well."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def cpus(request, monkeypatch):
+    set_cpus(monkeypatch, request.param)
+    return request.param
+
+
+# The byte gates run with one CPU and with two, and must give the same bytes.
+CPU_COUNTS = (1, 2)
+
+# Python 3.12+ warns on a fork in a process with threads (numpy's BLAS pool is
+# one); ``main`` ignores it, a test that calls the writers directly must too.
+FORK_WARNING = "ignore:This process .* is multi-threaded:DeprecationWarning"
+
+
 class TestEmitGate:
+    @pytest.mark.filterwarnings(FORK_WARNING)
     @pytest.mark.parametrize("block_rows", [None, 3])
     def test_json_chunks_match_json_dumps(self, monkeypatch, block_rows):
         if block_rows is not None:
@@ -524,10 +545,12 @@ class TestEmitGate:
         table = {"a": np.array([-0.0, 1e-320, 1e16, 0.1, 2.5, -3e-7, 7.0]), "c": np.array([0.5]),
                  "z": np.arange(7.0)}
         results = {"b": 1.5, "d": np.float64(0.1), "e": False, "n": 20000, "s": "pcg64", "y": -2.0}
-        for table_part in (table, {"c": table["c"]}, {}):
-            text = "".join(pulselab.cli._json_chunks(config, results, table_part))
-            plain = {**results, **{key: column.tolist() for key, column in table_part.items()}}
-            assert text == json.dumps({"config": config, "results": plain}, indent=2, sort_keys=True)
+        for count in CPU_COUNTS:
+            set_cpus(monkeypatch, count)
+            for table_part in (table, {"c": table["c"]}, {}):
+                text = "".join(pulselab.cli._json_chunks(config, results, table_part))
+                plain = {**results, **{key: column.tolist() for key, column in table_part.items()}}
+                assert text == json.dumps({"config": config, "results": plain}, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("a0,omega0,tau,omega_min,omega_max,points,marker", [
         # exact-zero nulls at every point but the peak
@@ -539,23 +562,32 @@ class TestEmitGate:
         (1.0, 10.0, 2.0, 4.0, 16.0, 2, None),
         (1.5, 20.0, 3.0, 0.5, 40.0, 50000, None),
     ])
-    def test_analytic_spectrum_bytes(self, tmp_path, a0, omega0, tau, omega_min, omega_max, points, marker):
+    def test_analytic_spectrum_bytes(self, tmp_path, monkeypatch, a0, omega0, tau, omega_min, omega_max, points,
+                                     marker):
         argv = analytic_argv(a0, omega0, tau, omega_min, omega_max, points)
         # An output name that reads like the array text the emitter joins.
         out_json = tmp_path / 'x",\n      "omega": [\n      1.0,'
         out_csv = tmp_path / "spec.csv"
-        assert main(argv + ["--output", str(out_json)]) == 0
-        assert main(argv + ["--format", "csv", "--output", str(out_csv)]) == 0
-        text = out_json.read_text()
-        doc = json.loads(text)
-        omega = np.linspace(omega_min, omega_max, points)
-        intensity = analytic_intensity(Pulse(a0, omega0, tau), omega)
-        assert_same_text(text, reference_json(doc, {"omega": omega, "intensity": intensity}))
-        if marker is not None:
-            assert marker in text.replace("\n", "").replace(" ", "")
-        summary = {k: v for k, v in doc["results"].items() if not isinstance(v, list)}
-        config = {**doc["config"], "format": "csv", "output": str(out_csv)}
-        assert_same_text(out_csv.read_text(), reference_spectrum_csv(config, summary, omega, intensity))
+        for count in CPU_COUNTS:
+            set_cpus(monkeypatch, count)
+            assert main(argv + ["--output", str(out_json)]) == 0
+            assert main(argv + ["--format", "csv", "--output", str(out_csv)]) == 0
+            text = out_json.read_text()
+            doc = json.loads(text)
+            omega = np.linspace(omega_min, omega_max, points)
+            intensity = analytic_intensity(Pulse(a0, omega0, tau), omega)
+            assert_same_text(text, reference_json(doc, {"omega": omega, "intensity": intensity}))
+            if marker is not None:
+                assert marker in text.replace("\n", "").replace(" ", "")
+            summary = {k: v for k, v in doc["results"].items() if not isinstance(v, list)}
+            config = {**doc["config"], "format": "csv", "output": str(out_csv)}
+            assert_same_text(out_csv.read_text(), reference_spectrum_csv(config, summary, omega, intensity))
+
+    @pytest.mark.parametrize("points", [3, 6, 7])
+    def test_block_edge_spectrum_bytes(self, tmp_path, monkeypatch, points):
+        """Three rows a block: one block, two whole ones, and two and one row."""
+        monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", 3)
+        self.test_analytic_spectrum_bytes(tmp_path, monkeypatch, 1.0, 10.0, 2.0, 4.0, 16.0, points, None)
 
     def test_sampled_spectrum_bytes(self, tmp_path):
         t = np.linspace(0.0, 2.0, 2048)
@@ -601,13 +633,15 @@ class TestEmitGate:
         if block_rows is not None:
             monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", block_rows)
         dump = tmp_path / "dump.csv"
-        code, text = run_text(["recoil", "--k", "2.5", "--n", str(n), "--seed", "11", "--dump", str(dump)])
-        assert code == 0
-        assert_same_text(dump.read_text(), reference_table("kx,ky,kz", momentum_samples(2.5, n, 11)))
-        stats = recoil_stats(2.5, n, 11)
-        assert json.loads(text)["results"] == {
-            "n": n, "k": 2.5, "mean_kz": stats.mean_kz, "std_kz": stats.std_kz,
-            "seed": 11, "generator": stats.generator}
+        for count in CPU_COUNTS:
+            set_cpus(monkeypatch, count)
+            code, text = run_text(["recoil", "--k", "2.5", "--n", str(n), "--seed", "11", "--dump", str(dump)])
+            assert code == 0
+            assert_same_text(dump.read_text(), reference_table("kx,ky,kz", momentum_samples(2.5, n, 11)))
+            stats = recoil_stats(2.5, n, 11)
+            assert json.loads(text)["results"] == {
+                "n": n, "k": 2.5, "mean_kz": stats.mean_kz, "std_kz": stats.std_kz,
+                "seed": 11, "generator": stats.generator}
 
     @pytest.mark.parametrize("n,block_rows", [(50001, None), (10, 3)])
     def test_streamed_dump_matches_reference_expressions(self, tmp_path, monkeypatch, n, block_rows):
@@ -616,17 +650,19 @@ class TestEmitGate:
         if block_rows is not None:
             monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", block_rows)
         dump = tmp_path / "dump.csv"
-        code, text = run_text(["recoil", "--k", "2.5", "--n", str(n), "--seed", "11", "--dump", str(dump)])
-        assert code == 0
         rng = np.random.default_rng(11)
         cos_t = 1.0 - rng.random(n)
         phi = 2.0 * np.pi * rng.random(n)
         sin_t = np.sqrt(1.0 - cos_t * cos_t)
         momenta = 2.5 * np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t))
-        assert_same_text(dump.read_text(), reference_table("kx,ky,kz", momenta))
-        results = json.loads(text)["results"]
-        assert results["mean_kz"] == 2.5 * float(np.mean(cos_t))
-        assert results["std_kz"] == 2.5 * float(np.std(cos_t, ddof=1))
+        for count in CPU_COUNTS:
+            set_cpus(monkeypatch, count)
+            code, text = run_text(["recoil", "--k", "2.5", "--n", str(n), "--seed", "11", "--dump", str(dump)])
+            assert code == 0
+            assert_same_text(dump.read_text(), reference_table("kx,ky,kz", momenta))
+            results = json.loads(text)["results"]
+            assert results["mean_kz"] == 2.5 * float(np.mean(cos_t))
+            assert results["std_kz"] == 2.5 * float(np.std(cos_t, ddof=1))
 
     def test_dump_draws_once(self, tmp_path, monkeypatch):
         """One argument check and one draw per run, with --dump and without."""
@@ -646,6 +682,146 @@ class TestEmitGate:
             calls.clear()
             assert run_text(["recoil", "--k", "1", "--n", "100", *dump])[0] == 0
             assert calls == ["_check_args", "_draw_angles"]
+
+
+def assert_no_child():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def spectrum_argv(points):
+    return ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2", "--omega-min", "4", "--omega-max", "16",
+            "--points", str(points)]
+
+
+def fresh_fds():
+    """The two lowest free file descriptors: a descriptor left open moves them."""
+    fds = os.pipe()
+    for fd in fds:
+        os.close(fd)
+    return fds
+
+
+class TestTwoCPUs:
+    """A table of more than one block is formatted by this process and a forked
+    child, which makes every other block; the child is reaped however the run
+    ends.  The bytes are checked by ``TestEmitGate`` with one CPU and with two."""
+
+    @pytest.mark.filterwarnings(FORK_WARNING)
+    @pytest.mark.parametrize("parts", [[], [0], [0, 1], list(range(7))], ids=["none", "one", "two", "seven"])
+    def test_child_makes_every_other_part(self, cpus, parts):
+        fds = fresh_fds()
+        made = [text.split() for text in pulselab.cli._texts(lambda part: f"{part} {os.getpid()}", parts)]
+        assert [int(part) for part, _ in made] == parts
+        forked = cpus == 2 and len(parts) > 1
+        assert [int(pid) == os.getpid() for _, pid in made] == [i % 2 == 0 or not forked for i in parts]
+        assert_no_child()
+        assert fresh_fds() == fds
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_no_pipe_or_fork_makes_every_part_here(self, monkeypatch, cpus, failing):
+        def refuse(*args):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        fds = fresh_fds()
+        monkeypatch.setattr(os, failing, refuse)
+        assert list(pulselab.cli._texts(lambda part: f"{part} {os.getpid()}", [0, 1, 2])) == [
+            f"{part} {os.getpid()}" for part in (0, 1, 2)]
+        monkeypatch.undo()
+        assert fresh_fds() == fds
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_one_block_tables_and_scalar_documents_never_fork(self, tmp_path, monkeypatch, cpus):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        wave = write_clean_waveform(tmp_path)
+        rows = pulselab.cli._BLOCK_ROWS
+        for argv in (spectrum_argv(201), spectrum_argv(1001), spectrum_argv(rows),
+                     [*spectrum_argv(rows), "--format", "csv"],
+                     ["spectrum", "--input", str(wave), "--omega-min", "4", "--omega-max", "16", "--points", "1001"],
+                     ["adjust", "--e", "2", "--de", "1", "--t", "1"], ["width", "--omega0", "10", "--tau", "2"],
+                     ["recoil", "--k", "1", "--n", "50000"],
+                     ["recoil", "--k", "1", "--n", str(rows), "--dump", str(tmp_path / "d.csv")]):
+            assert run_captured(argv)[::2] == (0, ""), argv
+        # One CPU: no table forks, however long.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for argv in (spectrum_argv(50000), [*spectrum_argv(50000), "--format", "csv"],
+                     ["recoil", "--k", "1", "--n", "50000", "--dump", str(tmp_path / "d.csv")]):
+            assert run_captured(argv)[::2] == (0, ""), argv
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_forks_past_one_block(self, monkeypatch, cpus):
+        forks = []
+        fork = os.fork
+
+        def counting():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        rows = pulselab.cli._BLOCK_ROWS
+        for argv in (spectrum_argv(rows + 1), [*spectrum_argv(rows + 1), "--format", "csv"]):
+            forks.clear()
+            assert run_captured(argv)[::2] == (0, "")
+            assert forks == [os.getpid()]  # one child a document, however many arrays
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_child_reaped_after_success(self, tmp_path, cpus, fmt):
+        assert main([*spectrum_argv(50000), "--format", fmt, "-o", str(tmp_path / "s")]) == 0
+        assert_no_child()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    @pytest.mark.parametrize("flag", ["--output", "--dump"])
+    def test_child_reaped_after_a_failed_write(self, capsys, cpus, flag):
+        argv = ["recoil", "--k", "1", "--n", "50000", flag, "/dev/full"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: cannot write /dev/full: No space left on device\n")
+        assert main([*spectrum_argv(50000), "-o", "/dev/full"]) == 1
+        assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_child_reaped_after_a_closed_stdout(self, cpus):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        pipe = open(write_end, "w")
+        try:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(pipe), contextlib.redirect_stderr(err):
+                assert main([*spectrum_argv(50000), "--format", "csv"]) == 1
+        finally:
+            with contextlib.suppress(BrokenPipeError):  # the text left in its buffer
+                pipe.close()
+        assert err.getvalue() == "error: cannot write stdout: Broken pipe\n"
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_child_failure_is_one_error_line(self, capsys, tmp_path, monkeypatch, cpus):
+        """A block that fails in the child fails the run there: this process makes
+        no block after the child's failed one."""
+        parent, made = os.getpid(), []
+        momenta = pulselab.recoil._momenta
+
+        def failing_in_child(k, cos_t, phi):
+            if os.getpid() != parent:
+                raise MemoryError
+            made.append(len(cos_t))
+            return momenta(k, cos_t, phi)
+
+        monkeypatch.setattr(pulselab.recoil, "_momenta", failing_in_child)
+        monkeypatch.setattr(pulselab.cli, "_BLOCK_ROWS", 3)
+        assert main(["recoil", "--k", "1", "--n", "30", "--dump", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: cannot format the table: the process formatting every other block failed\n")
+        assert made == [3]
+        assert_no_child()
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -968,6 +1144,11 @@ class TestUsageErrors:
         (["recoil", "--k", "1", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
         ([], "the following arguments are required: command"),
         (["width", "--omega0", "1", "--tau", "1", "x\ny"], "unrecognized arguments: x y"),
+        # "" names no file: before the draw, and before the same-file check, where it resolves as "."
+        (["width", "--omega0", "10", "--tau", "2", "-o", ""], "--output must not be empty"),
+        (["recoil", "--k", "1", "--n", "3", "--dump", ""], "--dump must not be empty"),
+        (["spectrum", "--input", "", *SPECTRUM_TAIL], "--input must not be empty"),
+        (["spectrum", "--input", "", *SPECTRUM_TAIL, "-o", ""], "--input must not be empty"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert main(argv) == 2
