@@ -5,14 +5,14 @@ parsed once, by its command's own parser; the top-level parser sees only
 lines that do not start with a command name.  All the parsed flags become the
 document's ``config``, so a run can be reproduced byte-for-byte from its
 output; ``main``'s one pass over them holds every check on a path flag.  A
-``cmd_*`` function turns them into ``(results, table)``: scalars by name, and
-``None`` or 1-D arrays by column name (``cmd_recoil`` alone writes a file, the
-``--dump``).  ``_emit`` writes JSON, a CSV table under ``# key = value`` lines
-or a two-row CSV of the results; one writer, ``_json_chunks``, writes every
-JSON document, told by the table's keys where the arrays are.  A table of more
-than one block is formatted on two CPUs where the process may run on two: a
-forked child formats every other block (``_texts``), and the bytes are those
-one process writes.
+``cmd_*`` function returns ``(results, table, files)``: scalars by name,
+``None`` or 1-D arrays by column name, and each side file's text by path.
+``_emit`` writes every file a run makes, the side files (the ``--dump``) and
+then the document: JSON, a CSV table under ``# key = value`` lines or a
+two-row CSV of the results.  ``_json_chunks`` writes every JSON document, told
+by the table's keys where the arrays are.  A table of more than one block is
+formatted on two CPUs where the process may run on two: a forked child formats
+every other block (``_texts``), and the bytes are those one process writes.
 
 JSON floats are written as the shortest text that reads back as the same
 double (``float.__repr__``, as ``json`` writes them); CSV carries the same
@@ -244,10 +244,11 @@ def _document(config: dict, results: dict, table: dict | None):
         yield _header(config) + ",".join(names) + "\n" + ",".join(_fmt(results[k]) for k in names) + "\n"
 
 
-def _emit(config: dict, results: dict, table: dict | None) -> None:
-    """Write the run's document to ``config["output"]``, or to stdout when it is None."""
+def _emit(config: dict, results: dict, table: dict | None, files: dict) -> None:
+    """Write each of ``files`` (path: chunk generator) in order, then the document (stdout if its output is None)."""
     _require_finite(results)
-    _write(_document(config, results, table), config["output"])
+    for path, chunks in (*files.items(), (config["output"], _document(config, results, table))):
+        _write(chunks, path)
 
 
 def _read_waveform(path: str):
@@ -343,7 +344,7 @@ def _omega_grid(args):
     return grid
 
 
-def cmd_spectrum(args) -> tuple[dict, dict]:
+def cmd_spectrum(args) -> tuple[dict, dict, dict]:
     import numpy as np
 
     from .spectral import Spectrum, first_zero_halfwidth_numeric, fourier_intensity, fwhm
@@ -370,18 +371,17 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
         half = first_zero_halfwidth(pulse)
         width = rectangular_fwhm(pulse.tau)
         duration = pulse.tau
-    summary = {
+    return {
         "peak_intensity": peak,
         "peak_omega": peak_omega,
         "first_zero_halfwidth": half,
         "fwhm": width,
         "duration": duration,
         "time_bandwidth_product": half * duration,
-    }
-    return summary, {"omega": spec.omega, "intensity": spec.intensity}
+    }, {"omega": spec.omega, "intensity": spec.intensity}, {}
 
 
-def cmd_width(args) -> tuple[dict, None]:
+def cmd_width(args) -> tuple[dict, None, dict]:
     from .wavepacket import Pulse, energy_moments, first_zero_halfwidth, rectangular_fwhm
 
     try:
@@ -395,10 +395,10 @@ def cmd_width(args) -> tuple[dict, None]:
         "fwhm": rectangular_fwhm(args.tau),
         "time_bandwidth_product": half * args.tau,
         **moments._asdict(),
-    }, None
+    }, None, {}
 
 
-def cmd_adjust(args) -> tuple[dict, None]:
+def cmd_adjust(args) -> tuple[dict, None, dict]:
     ce = ComplexEnergy(args.e, args.de)
     results: dict = {}
     if args.mode in ("paper", "both"):
@@ -411,10 +411,10 @@ def cmd_adjust(args) -> tuple[dict, None]:
         results["consistent_value"] = adj.value
         results["zeta_consistent"] = adj.zeta
         results["residual_im_consistent"] = expand_product(ce, args.t, adj.zeta).im
-    return results, None
+    return results, None, {}
 
 
-def cmd_recoil(args) -> tuple[dict, None]:
+def cmd_recoil(args) -> tuple[dict, None, dict]:
     from .recoil import _check_args, _draw, _momenta
 
     try:
@@ -422,10 +422,9 @@ def cmd_recoil(args) -> tuple[dict, None]:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     stats, cos_t, phi = _draw(args.k, args.n, args.seed)
-    if args.dump is not None:
-        # The momenta of one block at a time: the (n, 3) array is never made.
-        _write(_csv_table("kx,ky,kz", lambda rows: _momenta(args.k, cos_t[rows], phi[rows]), args.n), args.dump)
-    return stats._asdict(), None
+    # The momenta of one block at a time, made as the dump is written: the (n, 3) array is never made.
+    dump = _csv_table("kx,ky,kz", lambda rows: _momenta(args.k, cos_t[rows], phi[rows]), args.n)
+    return stats._asdict(), None, {} if args.dump is None else {args.dump: dump}
 
 
 # argparse takes an argument that starts with "-" for an option unless it
@@ -538,8 +537,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except (UsageError, ValueError, ZeroDivisionError, MemoryError) as exc:
-        # A message can quote a flag or path that holds a line break; the error stays one line.
-        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        # One line, if a message quotes a path with a line break; a bare MemoryError (str.join's) has no text.
+        message = " ".join(str(exc).splitlines()) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print("error:", message, file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
 
 

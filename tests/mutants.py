@@ -131,6 +131,15 @@ MUTANTS = [
     Mutant("a file not there yet never the same", CLI,
            "                same = os.path.realpath(config[flag]) == os.path.realpath(output)\n",
            "                same = False\n"),
+    # One writer: the side files, then the document.
+    Mutant("document written before the side files", CLI,
+           '    for path, chunks in (*files.items(), (config["output"], _document(config, results, table))):\n',
+           '    for path, chunks in ((config["output"], _document(config, results, table)), *files.items()):\n'),
+    Mutant("side files never written", CLI,
+           '(*files.items(), (config["output"], _document(config, results, table)))',
+           '((config["output"], _document(config, results, table)),)'),
+    Mutant("empty error text not named", CLI,
+           ' or ("out of memory" if isinstance(exc, MemoryError) else "")', ""),
     # Two CPUs format one table.
     Mutant("one-block tables fork", CLI,
            "    texts = _texts(make, parts) if len(parts) > len(table) else map(make, parts)\n",

@@ -403,6 +403,73 @@ class TestOutOfMemory:
     def test_request_beyond_numpy_array_limit_is_runtime_error(self, run, command, size):
         run(command, size)
 
+    # str.join raises a MemoryError with no text; a chunk generator fails so here after ``count`` chunks.
+    @pytest.mark.parametrize("writer,argv,count", [
+        ("_json_chunks", [*ARGV["spectrum"], "201", "-o", "p.json"], 5),
+        ("_csv_table", [*ARGV["recoil-dump"], "10"], 1),
+    ], ids=["json", "dump"])
+    def test_bare_memory_error_mid_stream_is_named(self, capsys, tmp_path, monkeypatch, writer, argv, count):
+        chunks = getattr(pulselab.cli, writer)
+
+        def failing(*args):
+            yield from (chunk for _, chunk in zip(range(count), chunks(*args)))
+            raise MemoryError
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pulselab.cli, writer, failing)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+class TestOneWriter:
+    """``_emit`` writes every file a run makes, after the command has returned:
+    the side files (the ``--dump``), then the document."""
+
+    def test_dump_formatted_after_compute(self, tmp_path, monkeypatch):
+        events = []
+        recoil = pulselab.cli._parser().commands["recoil"]
+        cmd, table, texts = recoil.get_default("func"), pulselab.cli._csv_table, pulselab.cli._texts
+
+        def func(args):
+            returned = cmd(args)
+            events.append("returned")
+            return returned
+
+        def csv_table(*args):
+            events.append("_csv_table")
+            yield from table(*args)
+
+        def recording_texts(*args):
+            events.append("_texts")
+            return texts(*args)
+
+        # The parser is built once per process: its default is what main calls, not the module's name.
+        monkeypatch.setitem(recoil._defaults, "func", func)
+        monkeypatch.setattr(pulselab.cli, "_csv_table", csv_table)
+        monkeypatch.setattr(pulselab.cli, "_texts", recording_texts)
+        assert run_captured(["recoil", "--k", "1", "--n", "10", "--dump", str(tmp_path / "d.csv")])[::2] == (0, "")
+        assert events == ["returned", "_csv_table", "_texts"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_dump_leaves_no_document(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["recoil", "--k", "1", "--n", "10", "--dump", "/dev/full", "-o", "out.json"]) == 1
+        assert capsys.readouterr() == ("", "error: cannot write /dev/full: No space left on device\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_document_leaves_the_whole_dump(self, capsys, tmp_path):
+        # As it stands: ROADMAP plans that a failed run leave no file it made.
+        dump = tmp_path / "d.csv"
+        argv = ["recoil", "--k", "1", "--n", "10", "--dump", str(dump)]
+        assert main(argv) == 0
+        whole = dump.read_bytes()
+        dump.unlink()
+        capsys.readouterr()
+        path = str(tmp_path / "nodir" / "r.json")
+        assert main([*argv, "-o", path]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot write {path}: No such file or directory\n")
+        assert dump.read_bytes() == whole
+
 
 class TestColdStart:
     @pytest.mark.parametrize("argv", [
@@ -426,21 +493,46 @@ class TestColdStart:
         assert (cold.returncode, cold.stdout, cold.stderr) == (code, out.getvalue(), err.getvalue())
 
 
+magnitude = st.floats(1e-3, 1e3)
+signed = st.floats(-1e3, 1e3)
+
+
+def command_argvs():
+    """Command lines of width, adjust in each --mode, and recoil with and
+    without a dump, ``d.csv`` in the working directory."""
+    return st.one_of(
+        st.builds(lambda omega0, tau, hbar: ["width", *flags(omega0=omega0, tau=tau, hbar=hbar)],
+                  magnitude, magnitude, magnitude),
+        st.builds(lambda e, de, t, mode: ["adjust", *flags(e=e, de=de, t=t), f"--mode={mode}"],
+                  st.one_of(magnitude, magnitude.map(float.__neg__)), signed, signed,
+                  st.sampled_from(["paper", "consistent", "both"])),
+        st.builds(lambda k, n, seed, dump: ["recoil", *flags(k=k, n=n, seed=seed), *dump],
+                  magnitude, st.integers(1, 300), st.integers(0, 2 ** 64), st.sampled_from([[], ["--dump=d.csv"]])),
+    )
+
+
 class TestReproducibility:
-    @pytest.mark.parametrize("argv", [
-        ["width", "--omega0", "3", "--tau", "2", "--hbar", "1.5"],
-        ["adjust", "--e", "2", "--de", "1", "--t", "1"],
-        ["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"],
-        ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
-         "--omega-min", "4", "--omega-max", "16", "--points", "101"],
-    ])
-    def test_embedded_config_round_trips(self, capsys, argv):
-        code = main(argv)
-        first = capsys.readouterr().out
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command_argvs())
+    @example(["width", "--omega0", "3", "--tau", "2", "--hbar", "1.5"])
+    @example(["adjust", "--e", "2", "--de", "1", "--t", "1"])
+    @example(["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"])
+    @example(["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
+              "--omega-min", "4", "--omega-max", "16", "--points", "101"])
+    def test_embedded_config_round_trips(self, tmp_path, monkeypatch, argv):
+        def files():  # read and removed, so that every example starts in an empty directory
+            found = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+            for name in found:
+                (tmp_path / name).unlink()
+            return found
+
+        monkeypatch.chdir(tmp_path)
+        code, first = run_text(argv)
         assert code == 0
-        config = json.loads(first)["config"]
-        assert main(rebuild_argv(config)) == 0
-        assert capsys.readouterr().out == first
+        dumped = files()
+        assert dumped.keys() == ({"d.csv"} if "--dump=d.csv" in argv else set())
+        assert run_text(rebuild_argv(json.loads(first)["config"])) == (0, first)
+        assert files() == dumped
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
