@@ -511,28 +511,40 @@ def command_argvs():
     )
 
 
+def assert_config_round_trips(directory, argv):
+    """Run argv in ``directory``, then the argv rebuilt from the document's
+    config: stdout and the files left in ``directory`` are the same bytes."""
+    def files():  # read and removed, so that every run starts in an empty directory
+        found = {path.name: path.read_bytes() for path in directory.iterdir()}
+        for name in found:
+            (directory / name).unlink()
+        return found
+
+    code, first = run_text(argv)
+    assert code == 0
+    dumped = files()
+    assert dumped.keys() == ({"d.csv"} if "--dump=d.csv" in argv else set())
+    assert run_text(rebuild_argv(json.loads(first)["config"])) == (0, first)
+    assert files() == dumped
+
+
 class TestReproducibility:
+    @pytest.mark.parametrize("argv", [
+        ["width", "--omega0", "3", "--tau", "2", "--hbar", "1.5"],
+        ["adjust", "--e", "2", "--de", "1", "--t", "1"],
+        ["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"],
+        ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
+         "--omega-min", "4", "--omega-max", "16", "--points", "101"],
+    ])
+    def test_embedded_config_round_trips(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert_config_round_trips(tmp_path, argv)
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command_argvs())
-    @example(["width", "--omega0", "3", "--tau", "2", "--hbar", "1.5"])
-    @example(["adjust", "--e", "2", "--de", "1", "--t", "1"])
-    @example(["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"])
-    @example(["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
-              "--omega-min", "4", "--omega-max", "16", "--points", "101"])
-    def test_embedded_config_round_trips(self, tmp_path, monkeypatch, argv):
-        def files():  # read and removed, so that every example starts in an empty directory
-            found = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-            for name in found:
-                (tmp_path / name).unlink()
-            return found
-
+    def test_any_command_config_round_trips(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        code, first = run_text(argv)
-        assert code == 0
-        dumped = files()
-        assert dumped.keys() == ({"d.csv"} if "--dump=d.csv" in argv else set())
-        assert run_text(rebuild_argv(json.loads(first)["config"])) == (0, first)
-        assert files() == dumped
+        assert_config_round_trips(tmp_path, argv)
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
