@@ -54,12 +54,23 @@ class AdjustmentResult(NamedTuple):
     evaluations: int
 
 
+class _Checked:
+    """Put ahead of the NamedTuple base of a record whose ``__new__`` checks its
+    fields: ``_make``, and so ``_replace``, builds through that ``__new__``."""
+
+    __slots__ = ()  # gives the records no instance dict
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _ComplexEnergyFields(NamedTuple):
     e: float
     de: float
 
 
-class ComplexEnergy(_ComplexEnergyFields):
+class ComplexEnergy(_Checked, _ComplexEnergyFields):
     """Real energy ``e`` plus level width ``de`` (imaginary part), same units."""
 
     __slots__ = ()  # no instance dict: immutable like its base
@@ -68,10 +79,6 @@ class ComplexEnergy(_ComplexEnergyFields):
         if not (math.isfinite(e) and math.isfinite(de)):
             raise ValueError("energy components must be finite")
         return super().__new__(cls, e, de)
-
-    @classmethod
-    def _make(cls, iterable) -> ComplexEnergy:  # _replace goes through here
-        return cls(*iterable)
 
 
 class EnergyAdjustment(NamedTuple):

@@ -143,6 +143,8 @@ def _write(chunks, output: str | None) -> None:
     its blocks is reaped however the write ends."""
     try:
         if output is None:
+            if sys.stdout is None:  # as Python sets it when started with fd 1 closed
+                raise OSError(9, os.strerror(9))  # EBADF
             sys.stdout.writelines(chunks)
             # A closed stdout fails here, not at exit: a failed flush leaves the exit-time one nothing to write.
             sys.stdout.flush()
@@ -279,7 +281,7 @@ def _read_waveform(path: str):
                 body = np.loadtxt(fh, delimiter=",", usecols=[column[name] for name in names],
                                   ndmin=2, comments=None, quotechar='"')
             except ValueError as exc:
-                raise ValueError(_bad_value(path, column, names) or exc) from exc
+                raise ValueError(_bad_value(fh, column, names) or exc) from exc
         t, *parts = body.T
         amp = np.zeros(len(t), complex)  # complex(re, im), or complex(amp, 0.0)
         amp.real = parts[0]
@@ -290,9 +292,10 @@ def _read_waveform(path: str):
         raise ValueError(f"cannot read waveform {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _bad_value(path: str, column: dict, names: tuple) -> str | None:
-    """Where the body of a waveform file fails to parse, as "line N, column
-    NAME: ...", or None if a re-read with ``csv`` finds nothing wrong.
+def _bad_value(fh, column: dict, names: tuple) -> str | None:
+    """Where the body of the waveform file ``fh`` fails to parse, as "line N,
+    column NAME: ...", or None if a re-read from its start with ``csv`` finds
+    nothing wrong or ``fh`` cannot be re-read (a pipe cannot seek).
 
     Called only after ``np.loadtxt`` has refused the body: numpy's row number
     counts neither the header nor blank lines, and starts at 0 for a value
@@ -301,21 +304,21 @@ def _bad_value(path: str, column: dict, names: tuple) -> str | None:
     """
     import csv
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    try:
+        fh.seek(0)
         reader = csv.reader(fh)
-        try:
-            next(reader)
-            for row in reader:
-                if not row:
-                    continue  # np.loadtxt skips blank lines
-                for name in names:
-                    where = f"line {reader.line_num}, column {name}"
-                    if column[name] >= len(row):
-                        return f"{where}: missing (the row has {len(row)} fields)"
-                    if not _is_number(row[column[name]]):
-                        return f"{where}: {row[column[name]]!r} is not a number"
-        except csv.Error:
-            pass
+        next(reader)
+        for row in reader:
+            if not row:
+                continue  # np.loadtxt skips blank lines
+            for name in names:
+                where = f"line {reader.line_num}, column {name}"
+                if column[name] >= len(row):
+                    return f"{where}: missing (the row has {len(row)} fields)"
+                if not _is_number(row[column[name]]):
+                    return f"{where}: {row[column[name]]!r} is not a number"
+    except (csv.Error, OSError):
+        pass
     return None
 
 
@@ -522,12 +525,15 @@ def main(argv=None) -> int:
                 raise UsageError(f"--{name} must be UTF-8 text with --format csv")
         output = config["output"]
         for flag in ("input", "dump"):  # the document must not overwrite the waveform or the dump
-            try:  # by file identity, so a hard link counts
-                same = None not in (config.get(flag), output) and os.path.samefile(config[flag], output)
-            except OSError:  # a file not there yet: by name, once symlinks and "." are resolved
-                same = os.path.realpath(config[flag]) == os.path.realpath(output)
+            path = config.get(flag)
+            try:  # by file identity, so a hard link counts; without --output, against the file behind stdout
+                same = path is not None and (os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+                                             if output is None else os.path.samefile(path, output))
+            except (OSError, AttributeError):  # a stdout with no descriptor (a StringIO, None) is no file;
+                # an --output or path not there yet: by name, once symlinks and "." are resolved
+                same = output is not None and os.path.realpath(path) == os.path.realpath(output)
             if same:
-                raise UsageError(f"--{flag} and --output name the same file")
+                raise UsageError(f"--{flag} and {'stdout' if output is None else '--output'} name the same file")
         with warnings.catch_warnings():
             # Inputs are checked for emptiness and results for finiteness, so a
             # warning (numpy's overflow or empty-input one) would only repeat them.

@@ -9,9 +9,11 @@ of duration ``tau``; FWHM is secondary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .adjustment import _Checked
 
 __all__ = [
     "SampledWaveform",
@@ -45,35 +47,40 @@ def _check_grid(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} span must be finite")
 
 
-@dataclass(frozen=True)
-class SampledWaveform:
-    """Complex amplitudes on a strictly increasing time grid."""
-
+class _SampledWaveformFields(NamedTuple):
     t: np.ndarray
     amp: np.ndarray
 
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        amp = np.asarray(self.amp, dtype=complex)
+
+class SampledWaveform(_Checked, _SampledWaveformFields):
+    """Complex amplitudes on a strictly increasing time grid."""
+
+    __slots__ = ()  # no instance dict: immutable like its base
+
+    def __new__(cls, t, amp) -> SampledWaveform:
+        t = np.asarray(t, dtype=float)
+        amp = np.asarray(amp, dtype=complex)
         _check_grid(t, "time grid")
         if amp.shape != t.shape:
             raise ValueError("amp must match the time grid length")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "amp", amp)
+        return super().__new__(cls, t, amp)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Nonnegative intensity samples on a strictly increasing frequency grid."""
-
+class _SpectrumFields(NamedTuple):
     omega: np.ndarray
     intensity: np.ndarray
 
-    def __post_init__(self) -> None:
-        omega = np.asarray(self.omega, dtype=float)
-        intensity = np.asarray(self.intensity, dtype=float)
+
+class Spectrum(_Checked, _SpectrumFields):
+    """Nonnegative intensity samples on a strictly increasing frequency grid."""
+
+    __slots__ = ()  # no instance dict: immutable like its base
+
+    def __new__(cls, omega, intensity) -> Spectrum:
+        omega = np.asarray(omega, dtype=float)
+        intensity = np.asarray(intensity, dtype=float)
         _check_grid(omega, "omega grid")
         if intensity.shape != omega.shape:
             raise ValueError("intensity must match the omega grid length")
@@ -81,8 +88,7 @@ class Spectrum:
             raise ValueError("intensities must be finite")
         if np.any(intensity < 0.0):
             raise ValueError("intensities must be nonnegative")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "intensity", intensity)
+        return super().__new__(cls, omega, intensity)
 
 
 def fourier_intensity(waveform: SampledWaveform, omega_grid) -> Spectrum:

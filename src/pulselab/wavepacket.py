@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from .adjustment import _Checked
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -34,7 +36,7 @@ class _PulseFields(NamedTuple):
     tau: float
 
 
-class Pulse(_PulseFields):
+class Pulse(_Checked, _PulseFields):
     """A sinusoid segment: amplitude ``a0``, carrier ``omega0``, duration ``tau``."""
 
     __slots__ = ()  # no instance dict: immutable like its base
@@ -47,10 +49,6 @@ class Pulse(_PulseFields):
         if not math.isfinite(tau) or tau <= 0.0:
             raise ValueError("tau must be positive and finite")
         return super().__new__(cls, a0, omega0, tau)
-
-    @classmethod
-    def _make(cls, iterable) -> Pulse:  # _replace goes through here
-        return cls(*iterable)
 
 
 class MomentReport(NamedTuple):

@@ -65,13 +65,11 @@ MUTANTS = [
     Mutant("ComplexEnergy finiteness check dropped", ADJ,
            '        if not (math.isfinite(e) and math.isfinite(de)):\n'
            '            raise ValueError("energy components must be finite")\n', ""),
-    Mutant("ComplexEnergy._make override dropped", ADJ,
-           "    @classmethod\n    def _make(cls, iterable) -> ComplexEnergy:  # _replace goes through here\n"
-           "        return cls(*iterable)\n", ""),
+    Mutant("ComplexEnergy without the _Checked _make", ADJ, "class ComplexEnergy(_Checked, _ComplexEnergyFields):",
+           "class ComplexEnergy(_ComplexEnergyFields):"),
     Mutant("Pulse without __slots__", WAV, "    __slots__ = ()  # no instance dict: immutable like its base\n", ""),
-    Mutant("Pulse._make override dropped", WAV,
-           "    @classmethod\n    def _make(cls, iterable) -> Pulse:  # _replace goes through here\n"
-           "        return cls(*iterable)\n", ""),
+    Mutant("Pulse without the _Checked _make", WAV, "class Pulse(_Checked, _PulseFields):",
+           "class Pulse(_PulseFields):"),
     # The closed forms.
     Mutant("series cutoff 1e-4 -> 1e-1", WAV, "_SERIES_CUTOFF = 1e-4", "_SERIES_CUTOFF = 1e-1"),
     Mutant("rectangular_fwhm tau check dropped", WAV,
@@ -96,6 +94,9 @@ MUTANTS = [
            "    if left + right == 0.0:\n        return x0\n"),
     Mutant("time grid finiteness check dropped", SPE,
            '    if not np.all(np.isfinite(x)):\n        raise ValueError(f"{name} must be finite")\n', ""),
+    Mutant("SampledWaveform without __slots__", SPE,
+           "    __slots__ = ()  # no instance dict: immutable like its base\n\n    def __new__(cls, t, amp)",
+           "    def __new__(cls, t, amp)"),
     Mutant("Spectrum shape check dropped", SPE,
            '        if intensity.shape != omega.shape:\n'
            '            raise ValueError("intensity must match the omega grid length")\n', ""),
@@ -111,8 +112,12 @@ MUTANTS = [
     Mutant("recoil_stats without _check_args", REC, "    _check_args(k, n, seed)\n    return _draw(k, n, seed)[0]",
            "    return _draw(k, n, seed)[0]"),
     # The command line and the package.
-    Mutant("csv.Error in _bad_value raised", CLI, "        except csv.Error:\n            pass\n",
-           "        except csv.Error:\n            raise\n"),
+    Mutant("csv.Error in _bad_value raised", CLI, "    except (csv.Error, OSError):\n        pass\n",
+           "    except (csv.Error, OSError):\n        raise\n"),
+    Mutant("unseekable waveform stream not caught", CLI, "    except (csv.Error, OSError):\n", "    except csv.Error:\n"),
+    Mutant("stdout None written to", CLI,
+           "            if sys.stdout is None:  # as Python sets it when started with fd 1 closed\n"
+           "                raise OSError(9, os.strerror(9))  # EBADF\n", ""),
     Mutant("wrong command on the direct dispatch", CLI, "            args.command = argv[0]\n",
            "            args.command = sub.prog\n"),
     Mutant("cmd_recoil without its check", CLI,
@@ -125,11 +130,14 @@ MUTANTS = [
            '            if csv_run and isinstance(value, str) and value.encode(errors="ignore").decode() != value:\n'
            '                raise UsageError(f"--{name} must be UTF-8 text with --format csv")\n', ""),
     Mutant("same-path check dropped", CLI,
-           '            if same:\n                raise UsageError(f"--{flag} and --output name the same file")\n', ""),
-    Mutant("same file by name only", CLI, "os.path.samefile(config[flag], output)",
-           "os.path.realpath(config[flag]) == os.path.realpath(output)"),
+           "            if same:\n                raise UsageError(f\"--{flag} and {'stdout' if output is None else '--output'} "
+           'name the same file")\n', ""),
+    Mutant("stdout never the same file", CLI, "os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))",
+           "False"),
+    Mutant("same file by name only", CLI, "os.path.samefile(path, output)",
+           "os.path.realpath(path) == os.path.realpath(output)"),
     Mutant("a file not there yet never the same", CLI,
-           "                same = os.path.realpath(config[flag]) == os.path.realpath(output)\n",
+           "                same = output is not None and os.path.realpath(path) == os.path.realpath(output)\n",
            "                same = False\n"),
     # One writer: the side files, then the document.
     Mutant("document written before the side files", CLI,

@@ -369,6 +369,12 @@ class TestUnwritableOutput:
         assert proc.returncode == 1
         assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
+    def test_stdout_none_is_runtime_error(self, capsys, monkeypatch):
+        # Python sets sys.stdout to None when it starts with fd 1 closed (`pulselab adjust ... >&-`).
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["adjust", "--e", "2", "--de", "1", "--t", "1"]) == 1
+        assert capsys.readouterr().err == "error: cannot write stdout: Bad file descriptor\n"
+
 
 class TestOutOfMemory:
     ARGV = {
@@ -1108,6 +1114,24 @@ class TestWaveformReader:
         assert captured.err.startswith(f"error: cannot read waveform {path}: could not convert string 'xxx")
         assert captured.err.count("\n") == 1
 
+    def test_bad_value_read_from_a_pipe_keeps_numpy_message(self, capsys):
+        # A pipe cannot seek back to its start for the re-read that names the line: numpy's message stays.
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as pipe:
+            pipe.write(b"t,re,im\n0,1,0\n1,x,0\n2,1,0\n")
+        path = f"/dev/fd/{read_end}"
+        try:
+            if not os.path.exists(path):
+                pytest.skip(f"{path} does not name the pipe here")
+            code = main(["spectrum", "--input", path, *SPECTRUM_TAIL])
+        finally:
+            os.close(read_end)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read waveform {path}: could not convert string 'x'")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["t,re,im\n", "t,re,im\n\n\n", "t,re,im\n0,1,0\n"])
     def test_too_few_rows_message(self, capsys, tmp_path, text):
         path = tmp_path / "wave.csv"
@@ -1334,6 +1358,24 @@ class TestUsageErrors:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
         assert sorted(os.listdir()) == sorted({*names, "x", "y"})
+
+    @pytest.mark.parametrize("flag,argv,mode", [
+        ("--input", ["spectrum", "--omega-min", "2", "--omega-max", "18", "--points", "301"], "a"),
+        ("--dump", ["recoil", "--k", "1", "--n", "5", "--seed", "3"], "w"),
+    ], ids=["input", "dump"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_naming_the_input_or_dump_is_refused(self, tmp_path, flag, argv, mode, fmt):
+        """As `--dump x > x` or `--input x >> x`: the document, written at
+        stdout's own offset, would overwrite the dump or the waveform."""
+        src = os.path.dirname(os.path.dirname(pulselab.__file__))
+        path = write_clean_waveform(tmp_path) if flag == "--input" else tmp_path / "x.csv"
+        before = path.read_bytes() if path.exists() else b""
+        with open(path, mode) as stdout:
+            proc = subprocess.run([sys.executable, "-m", "pulselab.cli", *argv, flag, str(path), "--format", fmt],
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {flag} and stdout name the same file\n")
+        assert path.read_bytes() == before
 
     def test_same_file_is_refused_before_the_commands_checks(self, capsys, tmp_path, monkeypatch):
         """On a line with two usage errors the flag pass's comes first."""

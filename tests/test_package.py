@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -73,6 +74,28 @@ def test_pulse_import_loads_only_wavepacket():
         print(json.dumps(loaded))
     """
     assert fresh(code) == [[], ["pulselab", "pulselab.adjustment", "pulselab.wavepacket"], "pulselab.spectral"]
+
+
+def test_sampled_spectrum_loads_no_dataclasses(tmp_path):
+    # Every record is a NamedTuple: neither the array records' module nor a run that reads a waveform needs dataclasses.
+    path = tmp_path / "w.csv"
+    path.write_text("t,re,im\n" + "".join(f"{k / 128!r},{math.cos(10 * k / 128)!r},{math.sin(10 * k / 128)!r}\n"
+                                          for k in range(257)))
+    code = """
+        import contextlib, io, json, sys
+        before = "dataclasses" in sys.modules
+        def added():
+            return "dataclasses" in sys.modules and not before
+        from pulselab import fourier_intensity
+        loaded = [added()]
+        import pulselab.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = pulselab.cli.main(["spectrum", "--input", %r, "--omega-min", "4", "--omega-max", "16",
+                                      "--points", "201"])
+        loaded += [added(), code]
+        print(json.dumps(loaded))
+    """ % (str(path),)
+    assert fresh(code) == [False, False, 0]
 
 
 def test_dir_lists_every_export_and_module_before_any_is_loaded():

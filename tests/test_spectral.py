@@ -76,6 +76,37 @@ class TestTypes:
             Spectrum(np.array([0.0, 1.0]), np.array([1.0]))
 
 
+    @pytest.mark.parametrize("cls,fields,change,message", [
+        (SampledWaveform, {"t": [0.0, 1.0], "amp": [1.0, 1j]}, {"t": [0.0, 0.0]},
+         "time grid must be strictly increasing"),
+        (SampledWaveform, {"t": [0.0, 1.0], "amp": [1.0, 1j]}, {"amp": [1.0, np.nan]}, "amplitudes must be finite"),
+        (SampledWaveform, {"t": [0.0, 1.0], "amp": [1.0, 1j]}, {"amp": [1.0, 1j, 0.0]},
+         "amp must match the time grid length"),
+        (Spectrum, {"omega": [0.0, 1.0], "intensity": [1.0, 0.5]}, {"omega": [0.0, math.inf]},
+         "omega grid must be finite"),
+        (Spectrum, {"omega": [0.0, 1.0], "intensity": [1.0, 0.5]}, {"intensity": [1.0, -0.1]},
+         "intensities must be nonnegative"),
+        (Spectrum, {"omega": [0.0, 1.0], "intensity": [1.0, 0.5]}, {"intensity": [1.0]},
+         "intensity must match the omega grid length"),
+    ])
+    def test_replace_refuses_what_construction_refuses(self, cls, fields, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**{**fields, **change})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**fields)._replace(**change)
+
+    def test_array_records_are_named_tuples(self):
+        wf = SampledWaveform([0.0, 1.0], [1.0, 1j])
+        spec = Spectrum([0.0, 1.0], [1.0, 0.5])
+        t, amp = wf
+        omega, intensity = spec
+        assert t is wf.t and amp is wf.amp and omega is spec.omega and intensity is spec.intensity
+        assert t.dtype == float and amp.dtype == complex and omega.dtype == intensity.dtype == float
+        assert not hasattr(wf, "__dict__") and not hasattr(spec, "__dict__")
+        changed = wf._replace(amp=[2.0, 0.0])
+        assert changed.t is wf.t and changed.amp.dtype == complex
+
+
 class TestFourierIntensity:
     def test_peak_matches_analytic(self):
         wf = rect_waveform(1.0, 10.0, 2.0)
