@@ -271,7 +271,7 @@ def _read_waveform(path: str):
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            fields = next(csv.reader(fh), [])
+            fields = [name.strip(" \t") for name in next(csv.reader(fh), [])]
             if "t" not in fields or not ({"re", "im"} <= set(fields) or "amp" in fields):
                 raise ValueError("expected CSV columns t,re,im or t,amp")
             # A repeated name means its last column, as in a csv.DictReader row.

@@ -142,8 +142,9 @@ def bench_cases(trees: list, scratch: str):
 def corpus_inputs(directory: str) -> None:
     """The small input files the corpus lines name: waveforms of the pulse
     a0 = 1, omega0 = 10, tau = 2 at 257 samples (clean ``w.csv``, jittered
-    ``jw.csv``, stamped from t = 1e9 ``ew.csv``), three broken waveforms, and
-    ``lw.csv``, a symlink to ``w.csv``."""
+    ``jw.csv``, stamped from t = 1e9 ``ew.csv``, and ``sw.csv``, ``w.csv`` with
+    a space after each comma), three broken waveforms, and ``lw.csv``, a
+    symlink to ``w.csv``."""
     os.makedirs(directory)
     n, tau = 257, 2.0
     h = tau / (n - 1)
@@ -151,12 +152,12 @@ def corpus_inputs(directory: str) -> None:
     grids = {"w.csv": [k * h for k in range(n)],
              "jw.csv": [0.0] + [(k + rng.uniform(-0.3, 0.3)) * h for k in range(1, n - 1)] + [tau],
              "ew.csv": [1e9 + k * h for k in range(n)]}
+    texts = {}
     for name, t in grids.items():
         rows = "".join(f"{x!r},{math.cos(10.0 * (x - t[0]))!r},{math.sin(10.0 * (x - t[0]))!r}\n" for x in t)
-        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,re,im\n" + rows)
-    for name, text in {"bad.csv": "t,re,im\n0,1,0\n1,x,0\n", "nohead.csv": "t,x\n0,1\n1,2\n",
-                       "span.csv": "t,amp\n-1e308,1\n1e308,1\n"}.items():
+        texts[name] = "t,re,im\n" + rows
+    for name, text in {**texts, "sw.csv": texts["w.csv"].replace(",", ", "), "bad.csv": "t,re,im\n0,1,0\n1,x,0\n",
+                       "nohead.csv": "t,x\n0,1\n1,2\n", "span.csv": "t,amp\n-1e308,1\n1e308,1\n"}.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     os.symlink("w.csv", os.path.join(directory, "lw.csv"))

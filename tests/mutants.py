@@ -115,6 +115,8 @@ MUTANTS = [
     Mutant("csv.Error in _bad_value raised", CLI, "    except (csv.Error, OSError):\n        pass\n",
            "    except (csv.Error, OSError):\n        raise\n"),
     Mutant("unseekable waveform stream not caught", CLI, "    except (csv.Error, OSError):\n", "    except csv.Error:\n"),
+    Mutant("waveform header names not stripped", CLI, '[name.strip(" \\t") for name in next(csv.reader(fh), [])]',
+           "next(csv.reader(fh), [])"),
     Mutant("stdout None written to", CLI,
            "            if sys.stdout is None:  # as Python sets it when started with fd 1 closed\n"
            "                raise OSError(9, os.strerror(9))  # EBADF\n", ""),

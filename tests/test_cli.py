@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import pulselab
@@ -51,14 +51,20 @@ def rebuild_argv(config):
     return argv
 
 
+def write_waveform(path, t, amp):
+    """Write the samples to ``path`` as rows of ``repr`` values under a header:
+    ``t,re,im`` for a complex ``amp``, ``t,amp`` for a real one.  Returns ``path``."""
+    amp = np.asarray(amp)
+    header, columns = ("t,re,im", (amp.real, amp.imag)) if np.iscomplexobj(amp) else ("t,amp", (amp,))
+    rows = zip(np.asarray(t).tolist(), *(column.tolist() for column in columns))
+    path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return path
+
+
 def write_clean_waveform(tmp_path):
     """The pulse a0 = 1, omega0 = 10, tau = 2 sampled at 2048 equally spaced times."""
     t = np.linspace(0.0, 2.0, 2048)
-    amp = sample_waveform(Pulse(1.0, 10.0, 2.0), t)
-    path = tmp_path / "clean.csv"
-    path.write_text("t,re,im\n" + "".join(
-        f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), amp.tolist())))
-    return path
+    return write_waveform(tmp_path / "clean.csv", t, sample_waveform(Pulse(1.0, 10.0, 2.0), t))
 
 
 class TestSpectrum:
@@ -126,9 +132,7 @@ class TestSpectrum:
             t = np.linspace(0.0, 2.0, 64)
             t[1:-1] += jitter * np.sin(np.arange(62))
             amp = 1e200 * np.exp(10j * t)
-            path = tmp_path / "loud.csv"
-            path.write_text("t,re,im\n" + "".join(
-                f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), amp.tolist())))
+            path = write_waveform(tmp_path / "loud.csv", t, amp)
             argv = ["spectrum", "--input", str(path), *common]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -175,8 +179,7 @@ class TestSpectrum:
         amp = np.exp(10.0j * s)
         docs = []
         for name, times in (("epoch.csv", t), ("offsets.csv", s)):
-            (tmp_path / name).write_text("t,re,im\n" + "".join(
-                f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(times.tolist(), amp.tolist())))
+            write_waveform(tmp_path / name, times, amp)
             code, doc = run_json(capsys, ["spectrum", "--input", str(tmp_path / name), "--omega-min", "2",
                                           "--omega-max", "18", "--points", "301"])
             assert code == 0
@@ -499,39 +502,12 @@ class TestColdStart:
         assert (cold.returncode, cold.stdout, cold.stderr) == (code, out.getvalue(), err.getvalue())
 
 
-magnitude = st.floats(1e-3, 1e3)
-signed = st.floats(-1e3, 1e3)
-
-
-def command_argvs():
-    """Command lines of width, adjust in each --mode, and recoil with and
-    without a dump, ``d.csv`` in the working directory."""
-    return st.one_of(
-        st.builds(lambda omega0, tau, hbar: ["width", *flags(omega0=omega0, tau=tau, hbar=hbar)],
-                  magnitude, magnitude, magnitude),
-        st.builds(lambda e, de, t, mode: ["adjust", *flags(e=e, de=de, t=t), f"--mode={mode}"],
-                  st.one_of(magnitude, magnitude.map(float.__neg__)), signed, signed,
-                  st.sampled_from(["paper", "consistent", "both"])),
-        st.builds(lambda k, n, seed, dump: ["recoil", *flags(k=k, n=n, seed=seed), *dump],
-                  magnitude, st.integers(1, 300), st.integers(0, 2 ** 64), st.sampled_from([[], ["--dump=d.csv"]])),
-    )
-
-
-def assert_config_round_trips(directory, argv):
-    """Run argv in ``directory``, then the argv rebuilt from the document's
-    config: stdout and the files left in ``directory`` are the same bytes."""
-    def files():  # read and removed, so that every run starts in an empty directory
-        found = {path.name: path.read_bytes() for path in directory.iterdir()}
-        for name in found:
-            (directory / name).unlink()
-        return found
-
-    code, first = run_text(argv)
-    assert code == 0
-    dumped = files()
-    assert dumped.keys() == ({"d.csv"} if "--dump=d.csv" in argv else set())
-    assert run_text(rebuild_argv(json.loads(first)["config"])) == (0, first)
-    assert files() == dumped
+def assert_config_round_trips(argv):
+    """Run argv in the working directory, then the argv rebuilt from the
+    document's config: stdout and every file the run leaves are the same bytes."""
+    run = run_in_cwd(argv)
+    assert run[:1] + run[2:4] == (0, "", [])
+    assert run_in_cwd(rebuild_argv(json.loads(split_run(argv, run)[0])["config"])) == run
 
 
 class TestReproducibility:
@@ -541,16 +517,14 @@ class TestReproducibility:
         ["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"],
         ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
          "--omega-min", "4", "--omega-max", "16", "--points", "101"],
+        ["spectrum", "--input", "../clean.csv", "--omega-min", "2", "--omega-max", "18", "--points", "301"],
+        ["recoil", "--k", "1", "--n", "100", "--seed", "3", "--dump=d.csv", "-o", "r.json"],
     ])
     def test_embedded_config_round_trips(self, tmp_path, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        assert_config_round_trips(tmp_path, argv)
-
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(command_argvs())
-    def test_any_command_config_round_trips(self, tmp_path, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        assert_config_round_trips(tmp_path, argv)
+        write_clean_waveform(tmp_path)  # outside the run's directory, which the check empties
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        assert_config_round_trips(argv)
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
@@ -615,6 +589,26 @@ def run_captured(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_in_cwd(argv):
+    """Exit code, stdout, stderr and Python warnings of one CLI run, and the bytes of each
+    file it leaves in the working directory by name, which it removes for the next run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_captured(argv)
+    made = {path.name: path.read_bytes() for path in Path().iterdir()}
+    for name in made:
+        os.unlink(name)
+    return code, out, err, [str(w.message) for w in caught], made
+
+
+def split_run(argv, run):
+    """The document of a successful ``run_in_cwd(argv)`` as text, and its other
+    files: the document is stdout, or the file that argv's --output names."""
+    output = pulselab.cli._parser().commands[argv[0]].parse_args(argv[1:]).output
+    side = dict(run[4])
+    return (run[1] if output is None else side.pop(output).decode()), side
 
 
 def analytic_argv(a0, omega0, tau, omega_min, omega_max, points):
@@ -702,11 +696,7 @@ class TestEmitGate:
     def test_sampled_spectrum_bytes(self, tmp_path):
         t = np.linspace(0.0, 2.0, 2048)
         amp = sample_waveform(Pulse(1.0, 10.0, 2.0), t)
-        wave = tmp_path / "[1.0, 2.0].csv"
-        with open(wave, "w", newline="") as fh:
-            fh.write("t,re,im\n")
-            for ti, ai in zip(t.tolist(), amp.tolist()):
-                fh.write(f"{ti!r},{ai.real!r},{ai.imag!r}\n")
+        wave = write_waveform(tmp_path / "[1.0, 2.0].csv", t, amp)
         # Nulls at 10 +- pi fall on grid points, as the width search needs.
         omega = np.linspace(10.0 - 2.5 * math.pi, 10.0 + 2.5 * math.pi, 1001)
         argv = ["spectrum", "--input", str(wave), f"--omega-min={float(omega[0])!r}",
@@ -937,44 +927,13 @@ class TestTwoCPUs:
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def analytic_configs(draw):
-    omega0 = draw(st.floats(0.1, 100.0, **finite))
-    low = draw(st.floats(-200.0, 200.0, **finite))
-    span = draw(st.floats(1e-3, 400.0, **finite))
-    return (draw(st.floats(1e-3, 1e3, **finite)), omega0, draw(st.floats(1e-2, 100.0, **finite)),
-            low, low + span, draw(st.integers(2, 300)))
-
-
-class TestEmitProperties:
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(analytic_configs())
-    def test_csv_and_json_agree_and_config_reproduces(self, cfg):
-        argv = analytic_argv(*cfg)
-        code, text = run_text(argv)
-        assert code == 0
-        doc = json.loads(text)
-        # Re-running the document's own config reproduces it byte for byte.
-        assert run_text(rebuild_argv(doc["config"])) == (0, text)
-        code, csv_text = run_text(argv + ["--format", "csv"])
-        assert code == 0
-        lines = csv_text.splitlines()
-        header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
-        for key, value in doc["results"].items():
-            if not isinstance(value, list):
-                assert float(header[key]) == value
-        rows = np.array([[float(v) for v in line.split(",")] for line in lines[lines.index("omega,intensity") + 1:]])
-        assert rows[:, 0].tolist() == doc["results"]["omega"]
-        assert rows[:, 1].tolist() == doc["results"]["intensity"]
-
-
 # The waveform reader parses the body with np.loadtxt; these tests hold it to
 # the per-row csv.DictReader + float() loop it replaced, bit for bit.
 
 def reference_read(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
+        reader.fieldnames = fields = [name.strip(" \t") for name in reader.fieldnames or []]
         t, amp = [], []
         for row in reader:
             t.append(float(row["t"]))
@@ -1011,9 +970,7 @@ class TestWaveformReader:
     def test_bench_style_files(self, tmp_path, jittered):
         t = bench_style_grid(jittered)
         amp = 1.3 * np.exp(17j * t)
-        path = tmp_path / "wave.csv"
-        path.write_text("t,re,im\n" + "".join(
-            f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), amp.tolist())))
+        path = write_waveform(tmp_path / "wave.csv", t, amp)
         assert_reads_as_reference(path)
         assert pulselab.cli._read_waveform(str(path)).t.tolist() == t.tolist()
 
@@ -1027,9 +984,10 @@ class TestWaveformReader:
         "t,re,im\r\n0,1,0\r\n1,2,3\r\n",  # CRLF
         "t,re,im\n\n0,1,0\n\n\n1,2,3\n\n",  # blank lines
         "t,re,im\n 0 , 1,0 \n1,\t2 ,  3\n",  # spaces around values
+        "t, re, im\n0, 1, 0\n1, 2, 3\n",  # spaces around names, as np.savetxt(delimiter=", ") writes
         "t,re,im\n0,1e-320,-1.7976931348623157e+308\n1e-5,+.5,5.\n2,1E+2,-0\n",
     ], ids=["t-amp", "amp-and-re-im", "reordered-extra", "long-rows", "repeated-name",
-            "quoted", "crlf", "blank-lines", "spaces", "number-forms"])
+            "quoted", "crlf", "blank-lines", "spaces", "spaced-header", "number-forms"])
     def test_layouts(self, tmp_path, text):
         path = tmp_path / "wave.csv"
         path.write_bytes(text.encode())
@@ -1165,9 +1123,37 @@ REQUIRED = {
     "adjust": {"--e": "2", "--de": "1", "--t": "1"},
     "recoil": {"--k": "1", "--n": "10"},
 }
-KNOWN_FLAGS = {"--help", "--version", "--input", "--hbar", "--mode", "--seed", "--dump", "--format", "--output"} | {
-    flag for flags in REQUIRED.values() for flag in flags}
-CHOICE_FLAGS = {"--format": ("csv", "json"), "--mode": ("paper", "consistent", "both")}
+
+
+def options(command):
+    """The command's options from the CLI's own parser, by first option string, --help left out."""
+    return {action.option_strings[0]: action for action in pulselab.cli._parser().commands[command]._actions
+            if not isinstance(action, argparse._HelpAction)}
+
+
+non_finite = st.sampled_from(["nan", "inf", "-inf", "Infinity", "-Infinity"])
+not_positive = st.floats(max_value=0.0, allow_nan=False).map(repr) | non_finite
+magnitude = st.floats(1e-3, 1e3)
+nonzero = (magnitude | magnitude.map(float.__neg__)).map(repr)
+signed = st.floats(-1e3, 1e3).map(repr)
+# For each option that takes a number: (values a run takes, values it refuses with exit 2
+# when every other option has its REQUIRED value).  Taken values together make a run that
+# succeeds, bar --input rows: every taken --omega-min is below every taken --omega-max.
+VALUES = {
+    "--a0": (nonzero, st.sampled_from(["0", "-0.0"]) | non_finite),
+    "--omega0": (magnitude.map(repr), not_positive),
+    "--tau": (magnitude.map(repr), not_positive),
+    "--hbar": (magnitude.map(repr), not_positive),
+    "--k": (magnitude.map(repr), not_positive),
+    "--omega-min": (st.floats(-1e3, 10.0).map(repr), st.floats(min_value=16.0).map(repr) | non_finite),
+    "--omega-max": (st.floats(10.0, 1e3, exclude_min=True).map(repr), st.floats(max_value=4.0).map(repr) | non_finite),
+    "--e": (nonzero, non_finite),
+    "--de": (signed, non_finite),
+    "--t": (signed, non_finite),
+    "--points": (st.integers(2, 300).map(str), st.integers(max_value=1).map(str) | non_finite),
+    "--n": (st.integers(1, 300).map(str), st.integers(max_value=0).map(str) | non_finite),
+    "--seed": (st.integers(0, 2 ** 64).map(str), st.integers(max_value=-1).map(str) | non_finite),
+}
 
 
 def is_number(text):
@@ -1180,16 +1166,38 @@ def is_number(text):
 
 # Argument text as an OS passes it: no NUL, no lone surrogates.
 arg_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
+# Any finite double: subnormals, -0.0 and +-1.7976931348623157e308 included.
+any_double = st.floats(**finite)
+
+
+def line_strategies(command):
+    """For each option of the command: the action, its names or None for a REQUIRED one (a
+    drawn None leaves it out), and its values taken, refused and any, or None for a path."""
+    table = {}
+    for flag, action in options(command).items():
+        names = None if flag in REQUIRED[command] else st.sampled_from([None, None, *action.option_strings])
+        if action.choices:
+            values = [st.sampled_from(action.choices), arg_text.filter(lambda s, c=action.choices: s not in c),
+                      arg_text]
+        else:
+            values = action.type and [*VALUES[flag], any_double.map(repr)]
+        table[flag] = action, names, values
+    return table
+
+
+# Built once, as hypothesis validates a strategy object on its first draw.
+LINE_STRATEGIES = {command: line_strategies(command) for command in REQUIRED}
 
 
 @st.composite
 def bad_argv(draw):
-    """A command line with one flag or value broken, which must fail as a usage error."""
+    """A command line with one flag or value broken, which must fail as a usage
+    error: (the kind of break, the argv, the flag the error line must name or None)."""
     command = draw(st.sampled_from(sorted(REQUIRED)))
     flags = dict(REQUIRED[command])
-    kind = draw(st.sampled_from(["drop-flag", "drop-value", "bad-number", "bad-choice",
+    kind = draw(st.sampled_from(["drop-flag", "drop-value", "bad-number", "bad-choice", "out-of-range",
                                  "unknown-flag", "stray-value", "non-finite", "no-command"]))
-    extra = []
+    extra, named = [], None
     if kind == "drop-flag":
         del flags[draw(st.sampled_from(sorted(flags)))]
     elif kind == "drop-value":
@@ -1200,56 +1208,31 @@ def bad_argv(draw):
         flag = draw(st.sampled_from(sorted(flags)))
         flags[flag] = draw(arg_text.filter(lambda s: not is_number(s) and not s.startswith("-h")
                                            and not s.startswith("--h")))
-    elif kind == "bad-choice":
-        flag = draw(st.sampled_from(sorted(CHOICE_FLAGS)))
-        if flag == "--mode" and command != "adjust":
-            flag = "--format"
-        flags[flag] = draw(arg_text.filter(lambda s: s not in CHOICE_FLAGS[flag] and not s.startswith("-")))
+    elif kind in ("bad-choice", "out-of-range"):  # a refused value, given last
+        table = LINE_STRATEGIES[command]
+        named = draw(st.sampled_from(sorted(flag for flag, (action, _, values) in table.items()
+                                            if values and bool(action.choices) == (kind == "bad-choice"))))
+        flags.pop(named, None)
+        extra = [f"{named}={draw(table[named][2][1])}"]
     elif kind == "unknown-flag":
         name = draw(st.from_regex(r"--[a-z][a-z0-9-]{0,10}", fullmatch=True))
+        parser = pulselab.cli._parser()
+        known = {flag for p in (parser, *parser.commands.values()) for action in p._actions
+                 for flag in action.option_strings}
         # argparse takes any unambiguous prefix of a flag for the flag
-        if any(known.startswith(name) for known in KNOWN_FLAGS):
+        if any(flag.startswith(name) for flag in known):
             name = "--no-such-" + name[2:]
         value = draw(arg_text)
         extra = [name, value] if draw(st.booleans()) and not value.startswith("-") else [f"{name}={value}"]
     elif kind == "stray-value":
         extra = [draw(arg_text.filter(lambda s: not s.startswith("-")))]
     elif kind == "non-finite":
-        numeric = sorted(set(flags) - {"--points", "--n"})
+        numeric = sorted(flag for flag in flags if options(command)[flag].type is float)
         flags[draw(st.sampled_from(numeric))] = draw(st.sampled_from(["inf", "-inf", "nan", "Infinity"]))
     argv = [command] + [item for pair in flags.items() for item in pair] + extra
     if kind == "no-command":
         argv = argv[1:]
-    return argv
-
-
-non_finite = st.sampled_from(["nan", "inf", "-inf", "Infinity", "-Infinity"])
-not_positive = st.floats(max_value=0.0, allow_nan=False).map(repr) | non_finite
-# For each command's flags, values out of range or not finite.  REQUIRED's grid
-# runs from --omega-min 4 to --omega-max 16.
-BAD_VALUES = {
-    "--a0": st.sampled_from(["0", "-0.0"]) | non_finite,
-    "--omega0": not_positive,
-    "--tau": not_positive,
-    "--hbar": not_positive,
-    "--k": not_positive,
-    "--omega-min": st.floats(min_value=16.0).map(repr) | non_finite,
-    "--omega-max": st.floats(max_value=4.0).map(repr) | non_finite,
-    "--e": non_finite,
-    "--de": non_finite,
-    "--t": non_finite,
-    "--points": st.integers(max_value=1).map(str) | non_finite,
-    "--n": st.integers(max_value=0).map(str) | non_finite,
-    "--seed": st.integers(max_value=-1).map(str) | non_finite,
-    **{flag: arg_text.filter(lambda s, flag=flag: s not in CHOICE_FLAGS[flag]) for flag in CHOICE_FLAGS},
-}
-
-
-def value_flags(command):
-    """The command's flags that take a number or a choice: all but paths and --help."""
-    parser = pulselab.cli._parser()
-    subparser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
-    return sorted(a.option_strings[0] for a in subparser._actions if a.type in (float, int) or a.choices)
+    return kind, argv, named
 
 
 class TestConfig:
@@ -1257,12 +1240,14 @@ class TestConfig:
     def test_config_is_every_flag_of_the_command(self, command):
         """The embedded config holds the full effective configuration: every
         destination of the command's subparser, plus the command itself."""
-        parser = pulselab.cli._parser()
-        subparser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
-        dests = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
+        dests = {action.dest for action in options(command).values()}
         code, text = run_text([command, *(item for pair in REQUIRED[command].items() for item in pair)])
         assert code == 0
         assert set(json.loads(text)["config"]) == dests | {"command"}
+
+    def test_values_has_a_line_for_each_number_option(self):
+        assert sorted(REQUIRED) == sorted(pulselab.cli._parser().commands)
+        assert set(VALUES) == {f for c in REQUIRED for f, a in options(c).items() if a.type in (float, int)}
 
 
 class TestUsageErrors:
@@ -1392,38 +1377,23 @@ class TestUsageErrors:
         assert captured.out.startswith("usage: pulselab" if "--help" in argv else "pulselab ")
         assert captured.err == ""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=350, deadline=None)
     @given(bad_argv())
-    def test_bad_flags_exit_two_with_one_line(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert (code, out.getvalue()) == (2, "")
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), command=st.sampled_from(sorted(REQUIRED)))
-    def test_value_error_names_its_flag(self, data, command):
-        flag = data.draw(st.sampled_from(value_flags(command)))
-        value = data.draw(BAD_VALUES[flag])
-        good = [item for name, text in REQUIRED[command].items() if name != flag for item in (name, text)]
-        argv = [command, *good, f"{flag}={value}"]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            assert main(argv) == 2
-        line = err.getvalue()
-        assert line.startswith("error: ") and line.count("\n") == 1
-        # The flag as a whole word, with or without its dashes: "--omega-min", "tau", "n".
-        assert re.search(rf"(?<![\w-])(--)?{re.escape(flag[2:])}(?![\w-])", line), line
+    def test_bad_flags_exit_two_with_one_line(self, case):
+        kind, argv, named = case
+        event(kind)
+        code, out, line = run_captured(argv)
+        assert (code, out) == (2, "")
+        assert line.startswith("error: ") and line.count("\n") == 1 and line.endswith("\n")
+        if named is not None:
+            # The flag as a whole word, with or without its dashes: "--omega-min", "tau", "n".
+            assert re.search(rf"(?<![\w-])(--)?{re.escape(named[2:])}(?![\w-])", line), line
 
 
 class TestParserReuse:
     def test_calls_in_one_process_match_first_calls(self, tmp_path):
         t = np.linspace(0.0, 2.0, 256)
-        wave = tmp_path / "wave.csv"
-        wave.write_text("t,re,im\n" + "".join(
-            f"{ti!r},{a.real!r},{a.imag!r}\n" for ti, a in zip(t.tolist(), np.exp(10j * t).tolist())))
+        wave = write_waveform(tmp_path / "wave.csv", t, np.exp(10j * t))
         omega = ["--omega-min", repr(10.0 - 2.5 * math.pi), "--omega-max", repr(10.0 + 2.5 * math.pi),
                  "--points", "101"]
         calls = [
@@ -1499,10 +1469,6 @@ class TestDispatch:
         assert calls == [f"pulselab {argv[0]}"]
 
 
-# Any finite double: subnormals, -0.0 and +-1.7976931348623157e308 included.
-any_double = st.floats(**finite)
-omega_range = st.tuples(any_double, any_double).map(sorted)
-
 # Runs that once leaked numpy warnings onto stderr: (argv, waveform text or None, exit code).
 LEAKS = {
     "grid-overflow": (["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
@@ -1514,74 +1480,78 @@ LEAKS = {
 }
 
 
-def flags(**values):
-    """``--name=value`` arguments, so that a negative number reads as a value."""
-    return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+
+# Rows of any doubles, as t,re,im or as t,amp.
+waves = st.builds(lambda rows, real: ([t for t, _, _ in rows], [re if real else complex(re, im) for _, re, im in rows]),
+                  st.lists(st.tuples(any_double, any_double, any_double), max_size=40), st.booleans())
 
 
-def reject_constant(name):
-    raise AssertionError(f"stdout holds {name}")
+@st.composite
+def command_line(draw, command):
+    """``(argv, wave)``: the command with each REQUIRED option and any others, by any of their
+    names, as ``option=value``; and the samples ``(t, amp)`` of the ``../wave.csv`` its --input
+    names, or None.  Most lines give taken values; a fifth give each taken, refused or any (double,
+    or text for a choice); another fifth name the document and any dump in a missing directory."""
+    line = draw(st.integers(0, 9))  # 0-1: mixed values, 2-3: files under a missing directory, else all taken
+    argv, wave = [command], None
+    for flag, (action, names, values) in LINE_STRATEGIES[command].items():
+        name = flag if names is None or (line in (2, 3) and action.dest == "output") else draw(names)
+        if name is None:
+            continue
+        if values:  # taken, refused, any
+            value = draw(values[draw(st.integers(0, 2)) if line < 2 else 0])
+        elif flag == "--input":
+            value, wave = "../wave.csv", draw(waves)
+        else:  # a file the run writes
+            value = ("nodir/" if line in (2, 3) else "") + action.dest
+        argv.append(f"{name}={value}")
+    return argv, wave
 
 
-def assert_run_contract(argv):
-    """One run ends in exit 0 with a JSON document, or in exit 1 or 2 with
-    one ``error:`` line; either way no Python warning is raised."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 1, 2)
-    assert [str(w.message) for w in caught] == []
-    if code == 0:
-        assert err.getvalue() == ""
-        json.loads(out.getvalue(), parse_constant=reject_constant)
-    else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
-
-
-def write_rows(directory, header, rows):
-    path = directory / "wave.csv"
-    width = 2 if header == "t,amp" else 3
-    path.write_text(header + "\n" + "".join(",".join(map(repr, row[:width])) + "\n" for row in rows))
-    return str(path)
+# One line of each command, so that every command has the same share of the examples.
+command_lines = st.tuples(*map(command_line, sorted(REQUIRED)))
 
 
 class TestRunContract:
-    """Every finite flag value, however extreme, keeps the exit-code contract."""
+    """Any command line, run with each --format, ends in exit 0 with its document, or in exit
+    1 or 2 with one ``error:`` line, no file, and the same in both formats; never with a Python
+    warning or a NaN or Infinity in a document.  A successful JSON run is reproduced byte for
+    byte by its config, and the CSV run writes the same dump and the JSON document's values."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(a0=any_double, omega0=any_double, tau=any_double, omega=omega_range, points=st.integers(0, 2000))
-    @example(a0=1.0, omega0=10.0, tau=2.0, omega=(-1e308, -1e307), points=3)
-    @example(a0=1.0, omega0=1e300, tau=1e-300, omega=(4.0, 16.0), points=11)
-    @example(a0=1.0, omega0=1e-300, tau=1e300, omega=(0.0, 1e-299), points=11)
-    def test_analytic_spectrum(self, a0, omega0, tau, omega, points):
-        assert_run_contract(["spectrum", *flags(a0=a0, omega0=omega0, tau=tau, omega_min=omega[0],
-                                                omega_max=omega[1]), f"--points={points}"])
-
-    @settings(max_examples=100, deadline=None)
-    @given(header=st.sampled_from(["t,re,im", "t,amp"]),
-           rows=st.lists(st.tuples(any_double, any_double, any_double), max_size=40),
-           omega=omega_range, points=st.integers(0, 2000))
-    @example(header="t,amp", rows=[(-1.7e308, 1.0, 0.0), (1.7e308, 1.0, 0.0)], omega=(4.0, 16.0), points=11)
-    def test_sampled_spectrum(self, tmp_path_factory, header, rows, omega, points):
-        path = write_rows(tmp_path_factory.mktemp("wave"), header, rows)
-        assert_run_contract(["spectrum", f"--input={path}", *flags(omega_min=omega[0], omega_max=omega[1]),
-                             f"--points={points}"])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.one_of(
-        st.builds(lambda omega0, tau, hbar: ["width", *flags(omega0=omega0, tau=tau, hbar=hbar)],
-                  any_double, any_double, any_double),
-        st.builds(lambda e, de, t, mode: ["adjust", *flags(e=e, de=de, t=t), f"--mode={mode}"],
-                  any_double, any_double, any_double, st.sampled_from(["paper", "consistent", "both"])),
-        st.builds(lambda k, n, seed: ["recoil", *flags(k=k, n=n, seed=seed)],
-                  any_double, st.integers(-2, 50), st.integers(-2, 2**64)),
-    ))
-    def test_scalar_commands(self, argv):
-        assert_run_contract(argv)
+    @settings(max_examples=160, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=command_lines)
+    @example(lines=[(["spectrum", "--a0=1.0", "--omega0=10.0", "--tau=2.0", "--omega-min=-1e+308",
+                      "--omega-max=-1e+307", "--points=3"], None)])
+    @example(lines=[(["spectrum", "--a0=1.0", "--omega0=1e+300", "--tau=1e-300", "--omega-min=4.0",
+                      "--omega-max=16.0", "--points=11"], None)])
+    @example(lines=[(["spectrum", "--a0=1.0", "--omega0=1e-300", "--tau=1e+300", "--omega-min=0.0",
+                      "--omega-max=1e-299", "--points=11"], None)])
+    @example(lines=[(["spectrum", "--input=../wave.csv", "--omega-min=4.0", "--omega-max=16.0", "--points=11"],
+                     ([-1.7e308, 1.7e308], [1.0, 1.0]))])
+    def test_any_command_line(self, tmp_path, monkeypatch, lines):
+        (tmp_path / "run").mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / "run")
+        for argv, wave in lines:
+            if wave is not None:
+                write_waveform(tmp_path / "wave.csv", *wave)
+            runs = {fmt: run_in_cwd([*argv, f"--format={fmt}"]) for fmt in options(argv[0])["--format"].choices}
+            json_run, csv_run = runs["json"], runs["csv"]
+            code, err = json_run[0], json_run[2]
+            event(f"{argv[0]}{' --input' if wave else ''}: exit {code}")
+            assert code in (0, 1, 2)
+            if code != 0:
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                assert json_run == csv_run == (code, "", err, [], {})
+                continue
+            assert json_run[2:4] == csv_run[2:4] == ("", []) and csv_run[0] == 0
+            (document, side), (table, csv_side) = split_run(argv, json_run), split_run(argv, csv_run)
+            assert csv_side == side
+            doc = json.loads(document, parse_constant=lambda name: pytest.fail(f"the document holds {name}"))
+            assert run_in_cwd(rebuild_argv(doc["config"])) == json_run
+            results, config = doc["results"], {**doc["config"], "format": "csv"}
+            assert table == (reference_row_csv(config, results) if "omega" not in results else reference_spectrum_csv(
+                config, {k: v for k, v in results.items() if not isinstance(v, list)}, results["omega"],
+                results["intensity"]))
 
     @pytest.mark.parametrize("argv,text,code", LEAKS.values(), ids=list(LEAKS))
     def test_warnings_as_errors(self, capsys, tmp_path, argv, text, code):
