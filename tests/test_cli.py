@@ -502,34 +502,6 @@ class TestColdStart:
         assert (cold.returncode, cold.stdout, cold.stderr) == (code, out.getvalue(), err.getvalue())
 
 
-def assert_config_round_trips(argv):
-    """Run argv in the working directory, then the argv rebuilt from the
-    document's config: stdout and every file the run leaves are the same bytes."""
-    run = run_in_cwd(argv)
-    assert run[:1] + run[2:4] == (0, "", [])
-    assert run_in_cwd(rebuild_argv(json.loads(split_run(argv, run)[0])["config"])) == run
-
-
-class TestReproducibility:
-    @pytest.mark.parametrize("argv", [
-        ["width", "--omega0", "3", "--tau", "2", "--hbar", "1.5"],
-        ["adjust", "--e", "2", "--de", "1", "--t", "1"],
-        ["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"],
-        ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
-         "--omega-min", "4", "--omega-max", "16", "--points", "101"],
-        ["spectrum", "--input", "../clean.csv", "--omega-min", "2", "--omega-max", "18", "--points", "301"],
-        ["recoil", "--k", "1", "--n", "100", "--seed", "3", "--dump=d.csv", "-o", "r.json"],
-    ])
-    def test_embedded_config_round_trips(self, tmp_path, monkeypatch, argv):
-        write_clean_waveform(tmp_path)  # outside the run's directory, which the check empties
-        (tmp_path / "run").mkdir()
-        monkeypatch.chdir(tmp_path / "run")
-        assert_config_round_trips(argv)
-
-    def test_usage_error_without_subcommand(self, capsys):
-        assert main([]) == 2
-
-
 # The emitters write arrays and tables by vectorised formatting; these tests
 # hold their bytes to the per-value reference the CLI used before: json.dumps
 # with indent=2 and sort_keys=True, and format(v, ".17g") row by row.
@@ -1190,13 +1162,12 @@ LINE_STRATEGIES = {command: line_strategies(command) for command in REQUIRED}
 
 
 @st.composite
-def bad_argv(draw):
-    """A command line with one flag or value broken, which must fail as a usage
-    error: (the kind of break, the argv, the flag the error line must name or None)."""
+def bad_argv(draw, kinds):
+    """A command line with one flag or value broken in a way drawn from ``kinds``, which must
+    fail as a usage error: (the kind of break, the argv, the flag the error line must name or None)."""
     command = draw(st.sampled_from(sorted(REQUIRED)))
     flags = dict(REQUIRED[command])
-    kind = draw(st.sampled_from(["drop-flag", "drop-value", "bad-number", "bad-choice", "out-of-range",
-                                 "unknown-flag", "stray-value", "non-finite", "no-command"]))
+    kind = draw(st.sampled_from(kinds))
     extra, named = [], None
     if kind == "drop-flag":
         del flags[draw(st.sampled_from(sorted(flags)))]
@@ -1248,6 +1219,19 @@ class TestConfig:
     def test_values_has_a_line_for_each_number_option(self):
         assert sorted(REQUIRED) == sorted(pulselab.cli._parser().commands)
         assert set(VALUES) == {f for c in REQUIRED for f, a in options(c).items() if a.type in (float, int)}
+
+
+def assert_usage_error(case):
+    """The broken line of ``bad_argv`` exits 2 with nothing on stdout and one ``error:``
+    line, which names the flag the case names."""
+    kind, argv, named = case
+    event(kind)
+    code, out, line = run_captured(argv)
+    assert (code, out) == (2, "")
+    assert line.startswith("error: ") and line.count("\n") == 1 and line.endswith("\n")
+    if named is not None:
+        # The flag as a whole word, with or without its dashes: "--omega-min", "tau", "n".
+        assert re.search(rf"(?<![\w-])(--)?{re.escape(named[2:])}(?![\w-])", line), line
 
 
 class TestUsageErrors:
@@ -1377,17 +1361,16 @@ class TestUsageErrors:
         assert captured.out.startswith("usage: pulselab" if "--help" in argv else "pulselab ")
         assert captured.err == ""
 
-    @settings(max_examples=350, deadline=None)
-    @given(bad_argv())
+    @settings(max_examples=250, deadline=None)
+    @given(bad_argv(["drop-flag", "drop-value", "bad-number", "unknown-flag", "stray-value", "non-finite",
+                     "no-command"]))
     def test_bad_flags_exit_two_with_one_line(self, case):
-        kind, argv, named = case
-        event(kind)
-        code, out, line = run_captured(argv)
-        assert (code, out) == (2, "")
-        assert line.startswith("error: ") and line.count("\n") == 1 and line.endswith("\n")
-        if named is not None:
-            # The flag as a whole word, with or without its dashes: "--omega-min", "tau", "n".
-            assert re.search(rf"(?<![\w-])(--)?{re.escape(named[2:])}(?![\w-])", line), line
+        assert_usage_error(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bad_argv(["bad-choice", "out-of-range"]))
+    def test_value_error_names_its_flag(self, case):
+        assert_usage_error(case)
 
 
 class TestParserReuse:
@@ -1487,71 +1470,105 @@ waves = st.builds(lambda rows, real: ([t for t, _, _ in rows], [re if real else 
 
 
 @st.composite
-def command_line(draw, command):
+def command_line(draw, command, kinds, sampled=None):
     """``(argv, wave)``: the command with each REQUIRED option and any others, by any of their
     names, as ``option=value``; and the samples ``(t, amp)`` of the ``../wave.csv`` its --input
-    names, or None.  Most lines give taken values; a fifth give each taken, refused or any (double,
-    or text for a choice); another fifth name the document and any dump in a missing directory."""
-    line = draw(st.integers(0, 9))  # 0-1: mixed values, 2-3: files under a missing directory, else all taken
+    names, or None.  The line is of a kind drawn from ``kinds``: "taken" gives every value as a
+    run takes it; "mixed" gives each value taken, refused or any (double, or text for a choice);
+    "nodir" names the document and any dump in a missing directory.  ``sampled`` True or False
+    gives spectrum's --input or leaves it out; None draws either."""
+    kind = draw(st.sampled_from(kinds))
     argv, wave = [command], None
     for flag, (action, names, values) in LINE_STRATEGIES[command].items():
-        name = flag if names is None or (line in (2, 3) and action.dest == "output") else draw(names)
+        if flag == "--input" and sampled is not None:
+            name = draw(st.sampled_from(action.option_strings)) if sampled else None
+        elif names is None or (kind == "nodir" and action.dest == "output"):
+            name = flag
+        else:
+            name = draw(names)
         if name is None:
             continue
         if values:  # taken, refused, any
-            value = draw(values[draw(st.integers(0, 2)) if line < 2 else 0])
+            value = draw(values[draw(st.integers(0, 2)) if kind == "mixed" else 0])
         elif flag == "--input":
             value, wave = "../wave.csv", draw(waves)
         else:  # a file the run writes
-            value = ("nodir/" if line in (2, 3) else "") + action.dest
+            value = ("nodir/" if kind == "nodir" else "") + action.dest
         argv.append(f"{name}={value}")
     return argv, wave
 
 
-# One line of each command, so that every command has the same share of the examples.
-command_lines = st.tuples(*map(command_line, sorted(REQUIRED)))
+# Kinds of line: all taken, mostly failing, and both with three fifths taken.
+TAKEN, FAILING, ANY_KIND = ("taken",), ("mixed", "nodir"), ("taken", "taken", "taken", "mixed", "nodir")
+SCALAR_COMMANDS = ("adjust", "recoil", "width")
+
+
+def scalar_lines(kinds):
+    """One line of each scalar command, so that each has the same share of the examples."""
+    return st.tuples(*(command_line(command, kinds) for command in SCALAR_COMMANDS))
+
+
+def assert_contract(tmp_path, monkeypatch, lines):
+    """Run each ``(argv, wave)`` line with each --format.  It ends in exit 0 with its document,
+    or in exit 1 or 2 with one ``error:`` line, no file, and the same in both formats; never
+    with a Python warning or a NaN or Infinity in a document.  A successful JSON run is
+    reproduced byte for byte by its config, and the CSV run writes the same dump and the JSON
+    document's values."""
+    (tmp_path / "run").mkdir(exist_ok=True)
+    monkeypatch.chdir(tmp_path / "run")
+    for argv, wave in lines:
+        if wave is not None:
+            write_waveform(tmp_path / "wave.csv", *wave)
+        runs = {fmt: run_in_cwd([*argv, f"--format={fmt}"]) for fmt in options(argv[0])["--format"].choices}
+        json_run, csv_run = runs["json"], runs["csv"]
+        code, err = json_run[0], json_run[2]
+        event(f"{argv[0]}{' --input' if wave else ''}: exit {code}")
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert json_run == csv_run == (code, "", err, [], {})
+            continue
+        assert json_run[2:4] == csv_run[2:4] == ("", []) and csv_run[0] == 0
+        (document, side), (table, csv_side) = split_run(argv, json_run), split_run(argv, csv_run)
+        assert csv_side == side
+        doc = json.loads(document, parse_constant=lambda name: pytest.fail(f"the document holds {name}"))
+        assert run_in_cwd(rebuild_argv(doc["config"])) == json_run
+        results, config = doc["results"], {**doc["config"], "format": "csv"}
+        assert table == (reference_row_csv(config, results) if "omega" not in results else reference_spectrum_csv(
+            config, {k: v for k, v in results.items() if not isinstance(v, list)}, results["omega"],
+            results["intensity"]))
+
+
+contract_settings = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestRunContract:
-    """Any command line, run with each --format, ends in exit 0 with its document, or in exit
-    1 or 2 with one ``error:`` line, no file, and the same in both formats; never with a Python
-    warning or a NaN or Infinity in a document.  A successful JSON run is reproduced byte for
-    byte by its config, and the CSV run writes the same dump and the JSON document's values."""
+    """Command lines drawn from the parser and ``VALUES``, with values refused or any, or
+    files under a missing directory, keep ``assert_contract``.  Lines of taken values are
+    drawn by ``test_any_command_config_round_trips`` and ``TestEmitProperties``."""
 
-    @settings(max_examples=160, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lines=command_lines)
+    @settings(contract_settings, max_examples=60)
+    @given(lines=st.tuples(command_line("spectrum", FAILING, sampled=False)))
     @example(lines=[(["spectrum", "--a0=1.0", "--omega0=10.0", "--tau=2.0", "--omega-min=-1e+308",
                       "--omega-max=-1e+307", "--points=3"], None)])
     @example(lines=[(["spectrum", "--a0=1.0", "--omega0=1e+300", "--tau=1e-300", "--omega-min=4.0",
                       "--omega-max=16.0", "--points=11"], None)])
     @example(lines=[(["spectrum", "--a0=1.0", "--omega0=1e-300", "--tau=1e+300", "--omega-min=0.0",
                       "--omega-max=1e-299", "--points=11"], None)])
+    def test_analytic_spectrum(self, tmp_path, monkeypatch, lines):
+        assert_contract(tmp_path, monkeypatch, lines)
+
+    @settings(contract_settings, max_examples=80)
+    @given(lines=st.tuples(command_line("spectrum", ANY_KIND, sampled=True)))
     @example(lines=[(["spectrum", "--input=../wave.csv", "--omega-min=4.0", "--omega-max=16.0", "--points=11"],
                      ([-1.7e308, 1.7e308], [1.0, 1.0]))])
-    def test_any_command_line(self, tmp_path, monkeypatch, lines):
-        (tmp_path / "run").mkdir(exist_ok=True)
-        monkeypatch.chdir(tmp_path / "run")
-        for argv, wave in lines:
-            if wave is not None:
-                write_waveform(tmp_path / "wave.csv", *wave)
-            runs = {fmt: run_in_cwd([*argv, f"--format={fmt}"]) for fmt in options(argv[0])["--format"].choices}
-            json_run, csv_run = runs["json"], runs["csv"]
-            code, err = json_run[0], json_run[2]
-            event(f"{argv[0]}{' --input' if wave else ''}: exit {code}")
-            assert code in (0, 1, 2)
-            if code != 0:
-                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-                assert json_run == csv_run == (code, "", err, [], {})
-                continue
-            assert json_run[2:4] == csv_run[2:4] == ("", []) and csv_run[0] == 0
-            (document, side), (table, csv_side) = split_run(argv, json_run), split_run(argv, csv_run)
-            assert csv_side == side
-            doc = json.loads(document, parse_constant=lambda name: pytest.fail(f"the document holds {name}"))
-            assert run_in_cwd(rebuild_argv(doc["config"])) == json_run
-            results, config = doc["results"], {**doc["config"], "format": "csv"}
-            assert table == (reference_row_csv(config, results) if "omega" not in results else reference_spectrum_csv(
-                config, {k: v for k, v in results.items() if not isinstance(v, list)}, results["omega"],
-                results["intensity"]))
+    def test_sampled_spectrum(self, tmp_path, monkeypatch, lines):
+        assert_contract(tmp_path, monkeypatch, lines)
+
+    @settings(contract_settings, max_examples=60)
+    @given(lines=scalar_lines(FAILING))
+    def test_scalar_commands(self, tmp_path, monkeypatch, lines):
+        assert_contract(tmp_path, monkeypatch, lines)
 
     @pytest.mark.parametrize("argv,text,code", LEAKS.values(), ids=list(LEAKS))
     def test_warnings_as_errors(self, capsys, tmp_path, argv, text, code):
@@ -1563,3 +1580,45 @@ class TestRunContract:
             warnings.simplefilter("error")
             assert main(argv) == code
         assert capsys.readouterr().err.count("\n") <= 1
+
+
+def assert_config_round_trips(argv):
+    """Run argv in the working directory, then the argv rebuilt from the
+    document's config: stdout and every file the run leaves are the same bytes."""
+    run = run_in_cwd(argv)
+    assert run[:1] + run[2:4] == (0, "", [])
+    assert run_in_cwd(rebuild_argv(json.loads(split_run(argv, run)[0])["config"])) == run
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("argv", [
+        ["width", "--omega0", "3", "--tau", "2", "--hbar", "1.5"],
+        ["adjust", "--e", "2", "--de", "1", "--t", "1"],
+        ["recoil", "--k", "1.5", "--n", "1000", "--seed", "5"],
+        ["spectrum", "--a0", "1", "--omega0", "10", "--tau", "2",
+         "--omega-min", "4", "--omega-max", "16", "--points", "101"],
+        ["spectrum", "--input", "../clean.csv", "--omega-min", "2", "--omega-max", "18", "--points", "301"],
+        ["recoil", "--k", "1", "--n", "100", "--seed", "3", "--dump=d.csv", "-o", "r.json"],
+    ])
+    def test_embedded_config_round_trips(self, tmp_path, monkeypatch, argv):
+        write_clean_waveform(tmp_path)  # outside the run's directory, which the check empties
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        assert_config_round_trips(argv)
+
+    @settings(contract_settings, max_examples=70)
+    @given(lines=scalar_lines(TAKEN))
+    def test_any_command_config_round_trips(self, tmp_path, monkeypatch, lines):
+        """Lines of values a run takes, most of which succeed, so that their round trips count."""
+        assert_contract(tmp_path, monkeypatch, lines)
+
+    def test_usage_error_without_subcommand(self, capsys):
+        assert main([]) == 2
+
+
+class TestEmitProperties:
+    @settings(contract_settings, max_examples=60)
+    @given(lines=st.tuples(command_line("spectrum", TAKEN, sampled=False)))
+    def test_csv_and_json_agree_and_config_reproduces(self, tmp_path, monkeypatch, lines):
+        """Analytic spectra of values a run takes: the CSV twin of each holds the JSON numbers."""
+        assert_contract(tmp_path, monkeypatch, lines)
