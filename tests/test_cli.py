@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import pulselab
@@ -1108,23 +1108,31 @@ not_positive = st.floats(max_value=0.0, allow_nan=False).map(repr) | non_finite
 magnitude = st.floats(1e-3, 1e3)
 nonzero = (magnitude | magnitude.map(float.__neg__)).map(repr)
 signed = st.floats(-1e3, 1e3).map(repr)
-# For each option that takes a number: (values a run takes, values it refuses with exit 2
-# when every other option has its REQUIRED value).  Taken values together make a run that
-# succeeds, bar --input rows: every taken --omega-min is below every taken --omega-max.
+# Any finite double: subnormals, -0.0 and +-1.7976931348623157e308 included.
+any_double = st.floats(**finite)
+positive = st.floats(0.0, exclude_min=True, **finite)
+anything, any_positive = any_double.map(repr), positive.map(repr)
+# For each option that takes a number: (values a run takes, values it refuses with exit 2 when
+# every other option has its REQUIRED value, and any value that the option takes, however
+# extreme: ints up to a cheap size).  Taken values together make a run that succeeds, bar --input
+# rows: every taken --omega-min is below every taken --omega-max.
 VALUES = {
-    "--a0": (nonzero, st.sampled_from(["0", "-0.0"]) | non_finite),
-    "--omega0": (magnitude.map(repr), not_positive),
-    "--tau": (magnitude.map(repr), not_positive),
-    "--hbar": (magnitude.map(repr), not_positive),
-    "--k": (magnitude.map(repr), not_positive),
-    "--omega-min": (st.floats(-1e3, 10.0).map(repr), st.floats(min_value=16.0).map(repr) | non_finite),
-    "--omega-max": (st.floats(10.0, 1e3, exclude_min=True).map(repr), st.floats(max_value=4.0).map(repr) | non_finite),
-    "--e": (nonzero, non_finite),
-    "--de": (signed, non_finite),
-    "--t": (signed, non_finite),
-    "--points": (st.integers(2, 300).map(str), st.integers(max_value=1).map(str) | non_finite),
-    "--n": (st.integers(1, 300).map(str), st.integers(max_value=0).map(str) | non_finite),
-    "--seed": (st.integers(0, 2 ** 64).map(str), st.integers(max_value=-1).map(str) | non_finite),
+    "--a0": (nonzero, st.sampled_from(["0", "-0.0"]) | non_finite, (positive | positive.map(float.__neg__)).map(repr)),
+    "--omega0": (magnitude.map(repr), not_positive, any_positive),
+    "--tau": (magnitude.map(repr), not_positive, any_positive),
+    "--hbar": (magnitude.map(repr), not_positive, any_positive),
+    "--k": (magnitude.map(repr), not_positive, any_positive),
+    "--omega-min": (st.floats(-1e3, 10.0).map(repr), st.floats(min_value=16.0).map(repr) | non_finite, anything),
+    "--omega-max": (st.floats(10.0, 1e3, exclude_min=True).map(repr), st.floats(max_value=4.0).map(repr) | non_finite,
+                    anything),
+    "--e": (nonzero, non_finite, anything),
+    "--de": (signed, non_finite, anything),
+    "--t": (signed, non_finite, anything),
+    "--points": (st.integers(2, 300).map(str), st.integers(max_value=1).map(str) | non_finite,
+                 st.integers(2, 2000).map(str)),
+    "--n": (st.integers(1, 300).map(str), st.integers(max_value=0).map(str) | non_finite, st.integers(1, 300).map(str)),
+    "--seed": (st.integers(0, 2 ** 64).map(str), st.integers(max_value=-1).map(str) | non_finite,
+               st.integers(0, 2 ** 64).map(str)),
 }
 
 
@@ -1138,27 +1146,30 @@ def is_number(text):
 
 # Argument text as an OS passes it: no NUL, no lone surrogates.
 arg_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
-# Any finite double: subnormals, -0.0 and +-1.7976931348623157e308 included.
-any_double = st.floats(**finite)
 
 
 def line_strategies(command):
-    """For each option of the command: the action, its names or None for a REQUIRED one (a
-    drawn None leaves it out), and its values taken, refused and any, or None for a path."""
+    """For each option of the command: the action, its names and None (a drawn None leaves it
+    out), and its values by kind of line, or None for a path: "taken", "refused", "any" and
+    "mixed", which is any of the three."""
     table = {}
     for flag, action in options(command).items():
-        names = None if flag in REQUIRED[command] else st.sampled_from([None, None, *action.option_strings])
+        names = st.sampled_from([None, None, *action.option_strings])
         if action.choices:
-            values = [st.sampled_from(action.choices), arg_text.filter(lambda s, c=action.choices: s not in c),
-                      arg_text]
+            choice = st.sampled_from(action.choices)
+            values = choice, arg_text.filter(lambda s, c=action.choices: s not in c), choice
         else:
-            values = action.type and [*VALUES[flag], any_double.map(repr)]
-        table[flag] = action, names, values
+            values = action.type and VALUES[flag]
+        table[flag] = action, names, values and {**dict(zip(("taken", "refused", "any"), values)),
+                                                 "mixed": st.one_of(values)}
     return table
 
 
 # Built once, as hypothesis validates a strategy object on its first draw.
 LINE_STRATEGIES = {command: line_strategies(command) for command in REQUIRED}
+# Every option string of the CLI; argparse takes any unambiguous prefix of one for it.
+OPTION_STRINGS = {flag for parser in (pulselab.cli._parser(), *pulselab.cli._parser().commands.values())
+                  for action in parser._actions for flag in action.option_strings}
 
 
 @st.composite
@@ -1184,21 +1195,17 @@ def bad_argv(draw, kinds):
         named = draw(st.sampled_from(sorted(flag for flag, (action, _, values) in table.items()
                                             if values and bool(action.choices) == (kind == "bad-choice"))))
         flags.pop(named, None)
-        extra = [f"{named}={draw(table[named][2][1])}"]
+        extra = [f"{named}={draw(table[named][2]['refused'])}"]
     elif kind == "unknown-flag":
         name = draw(st.from_regex(r"--[a-z][a-z0-9-]{0,10}", fullmatch=True))
-        parser = pulselab.cli._parser()
-        known = {flag for p in (parser, *parser.commands.values()) for action in p._actions
-                 for flag in action.option_strings}
-        # argparse takes any unambiguous prefix of a flag for the flag
-        if any(flag.startswith(name) for flag in known):
+        if any(flag.startswith(name) for flag in OPTION_STRINGS):
             name = "--no-such-" + name[2:]
         value = draw(arg_text)
         extra = [name, value] if draw(st.booleans()) and not value.startswith("-") else [f"{name}={value}"]
     elif kind == "stray-value":
         extra = [draw(arg_text.filter(lambda s: not s.startswith("-")))]
     elif kind == "non-finite":
-        numeric = sorted(flag for flag in flags if options(command)[flag].type is float)
+        numeric = sorted(flag for flag in flags if LINE_STRATEGIES[command][flag][0].type is float)
         flags[draw(st.sampled_from(numeric))] = draw(st.sampled_from(["inf", "-inf", "nan", "Infinity"]))
     argv = [command] + [item for pair in flags.items() for item in pair] + extra
     if kind == "no-command":
@@ -1361,13 +1368,13 @@ class TestUsageErrors:
         assert captured.out.startswith("usage: pulselab" if "--help" in argv else "pulselab ")
         assert captured.err == ""
 
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(bad_argv(["drop-flag", "drop-value", "bad-number", "unknown-flag", "stray-value", "non-finite",
                      "no-command"]))
     def test_bad_flags_exit_two_with_one_line(self, case):
         assert_usage_error(case)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(bad_argv(["bad-choice", "out-of-range"]))
     def test_value_error_names_its_flag(self, case):
         assert_usage_error(case)
@@ -1463,112 +1470,111 @@ LEAKS = {
 }
 
 
-
 # Rows of any doubles, as t,re,im or as t,amp.
 waves = st.builds(lambda rows, real: ([t for t, _, _ in rows], [re if real else complex(re, im) for _, re, im in rows]),
                   st.lists(st.tuples(any_double, any_double, any_double), max_size=40), st.booleans())
 
 
 @st.composite
-def command_line(draw, command, kinds, sampled=None):
-    """``(argv, wave)``: the command with each REQUIRED option and any others, by any of their
-    names, as ``option=value``; and the samples ``(t, amp)`` of the ``../wave.csv`` its --input
-    names, or None.  The line is of a kind drawn from ``kinds``: "taken" gives every value as a
-    run takes it; "mixed" gives each value taken, refused or any (double, or text for a choice);
-    "nodir" names the document and any dump in a missing directory.  ``sampled`` True or False
-    gives spectrum's --input or leaves it out; None draws either."""
+def command_line(draw, command, kinds, sampled=False):
+    """``(kind, argv, wave)``: a line of a kind drawn from ``kinds``, which gives the command
+    each REQUIRED option and any others, by any of their names, as ``option=value``; and the
+    samples ``(t, amp)`` of the ``../wave.csv`` its --input names, or None.  A "taken" line
+    gives every value as a run takes it; an "any" line gives each number any value that its
+    option takes, however extreme (the omega range in order), and each choice one of its
+    choices; a "mixed" line gives each value taken, refused or any; a "nodir" line of taken
+    values names the document and any dump in a missing directory.  ``sampled`` gives
+    spectrum --input, which makes the options the parser does not require optional."""
     kind = draw(st.sampled_from(kinds))
-    argv, wave = [command], None
-    for flag, (action, names, values) in LINE_STRATEGIES[command].items():
-        if flag == "--input" and sampled is not None:
-            name = draw(st.sampled_from(action.option_strings)) if sampled else None
-        elif names is None or (kind == "nodir" and action.dest == "output"):
+    values, wave = {}, None
+    for flag, (action, names, strategies) in LINE_STRATEGIES[command].items():
+        if flag == "--input":
+            name = flag if sampled else None
+        elif action.required or flag in REQUIRED[command] and not sampled or kind == "nodir" and flag == "--output":
             name = flag
         else:
             name = draw(names)
         if name is None:
             continue
-        if values:  # taken, refused, any
-            value = draw(values[draw(st.integers(0, 2)) if kind == "mixed" else 0])
+        if strategies:
+            values[name] = draw(strategies["taken" if kind == "nodir" else kind])
         elif flag == "--input":
-            value, wave = "../wave.csv", draw(waves)
+            values[name], wave = "../wave.csv", draw(waves)
         else:  # a file the run writes
-            value = ("nodir/" if kind == "nodir" else "") + action.dest
-        argv.append(f"{name}={value}")
-    return argv, wave
+            values[name] = ("nodir/" if kind == "nodir" else "") + action.dest
+    if kind == "any" and command == "spectrum":
+        low, high = values["--omega-min"], values["--omega-max"] = sorted(
+            [values["--omega-min"], values["--omega-max"]], key=float)
+        assume(float(low) < float(high))
+    return kind, [command, *(f"{name}={value}" for name, value in values.items())], wave
 
 
-# Kinds of line: all taken, mostly failing, and both with three fifths taken.
-TAKEN, FAILING, ANY_KIND = ("taken",), ("mixed", "nodir"), ("taken", "taken", "taken", "mixed", "nodir")
+# Kinds of line with a share of failing ones: any values in three lines of five.
+MOSTLY_ANY = ("any",) * 3 + ("mixed", "nodir")
 SCALAR_COMMANDS = ("adjust", "recoil", "width")
 
 
-def scalar_lines(kinds):
-    """One line of each scalar command, so that each has the same share of the examples."""
-    return st.tuples(*(command_line(command, kinds) for command in SCALAR_COMMANDS))
-
-
-def assert_contract(tmp_path, monkeypatch, lines):
-    """Run each ``(argv, wave)`` line with each --format.  It ends in exit 0 with its document,
-    or in exit 1 or 2 with one ``error:`` line, no file, and the same in both formats; never
-    with a Python warning or a NaN or Infinity in a document.  A successful JSON run is
+def assert_contract(tmp_path, monkeypatch, line):
+    """Run the ``(kind, argv, wave)`` line with each --format.  It ends in exit 0 with its
+    document, or in exit 1 or 2 with one ``error:`` line, no file, and the same in both formats;
+    never with a Python warning or a NaN or Infinity in a document.  A successful JSON run is
     reproduced byte for byte by its config, and the CSV run writes the same dump and the JSON
     document's values."""
+    kind, argv, wave = line
     (tmp_path / "run").mkdir(exist_ok=True)
     monkeypatch.chdir(tmp_path / "run")
-    for argv, wave in lines:
-        if wave is not None:
-            write_waveform(tmp_path / "wave.csv", *wave)
-        runs = {fmt: run_in_cwd([*argv, f"--format={fmt}"]) for fmt in options(argv[0])["--format"].choices}
-        json_run, csv_run = runs["json"], runs["csv"]
-        code, err = json_run[0], json_run[2]
-        event(f"{argv[0]}{' --input' if wave else ''}: exit {code}")
-        assert code in (0, 1, 2)
-        if code != 0:
-            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-            assert json_run == csv_run == (code, "", err, [], {})
-            continue
-        assert json_run[2:4] == csv_run[2:4] == ("", []) and csv_run[0] == 0
-        (document, side), (table, csv_side) = split_run(argv, json_run), split_run(argv, csv_run)
-        assert csv_side == side
-        doc = json.loads(document, parse_constant=lambda name: pytest.fail(f"the document holds {name}"))
-        assert run_in_cwd(rebuild_argv(doc["config"])) == json_run
-        results, config = doc["results"], {**doc["config"], "format": "csv"}
-        assert table == (reference_row_csv(config, results) if "omega" not in results else reference_spectrum_csv(
-            config, {k: v for k, v in results.items() if not isinstance(v, list)}, results["omega"],
-            results["intensity"]))
+    if wave is not None:
+        write_waveform(tmp_path / "wave.csv", *wave)
+    runs = {fmt: run_in_cwd([*argv, f"--format={fmt}"]) for fmt in LINE_STRATEGIES[argv[0]]["--format"][0].choices}
+    json_run, csv_run = runs["json"], runs["csv"]
+    code, err = json_run[0], json_run[2]
+    event(f"{argv[0]}{' --input' if wave else ''}, {kind} line: exit {code}")
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert json_run == csv_run == (code, "", err, [], {})
+        return
+    assert json_run[2:4] == csv_run[2:4] == ("", []) and csv_run[0] == 0
+    (document, side), (table, csv_side) = split_run(argv, json_run), split_run(argv, csv_run)
+    assert csv_side == side
+    doc = json.loads(document, parse_constant=lambda name: pytest.fail(f"the document holds {name}"))
+    assert run_in_cwd(rebuild_argv(doc["config"])) == json_run
+    results, config = doc["results"], {**doc["config"], "format": "csv"}
+    assert table == (reference_row_csv(config, results) if "omega" not in results else reference_spectrum_csv(
+        config, {k: v for k, v in results.items() if not isinstance(v, list)}, results["omega"], results["intensity"]))
 
 
 contract_settings = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestRunContract:
-    """Command lines drawn from the parser and ``VALUES``, with values refused or any, or
-    files under a missing directory, keep ``assert_contract``.  Lines of taken values are
-    drawn by ``test_any_command_config_round_trips`` and ``TestEmitProperties``."""
+    """Command lines drawn from the parser and ``VALUES`` keep ``assert_contract``: three in five
+    give each number any value that its option takes, the others refused values or a missing
+    directory.  ``test_any_command_config_round_trips`` and ``TestEmitProperties`` draw lines
+    of taken values, which succeed."""
 
-    @settings(contract_settings, max_examples=60)
-    @given(lines=st.tuples(command_line("spectrum", FAILING, sampled=False)))
-    @example(lines=[(["spectrum", "--a0=1.0", "--omega0=10.0", "--tau=2.0", "--omega-min=-1e+308",
-                      "--omega-max=-1e+307", "--points=3"], None)])
-    @example(lines=[(["spectrum", "--a0=1.0", "--omega0=1e+300", "--tau=1e-300", "--omega-min=4.0",
-                      "--omega-max=16.0", "--points=11"], None)])
-    @example(lines=[(["spectrum", "--a0=1.0", "--omega0=1e-300", "--tau=1e+300", "--omega-min=0.0",
-                      "--omega-max=1e-299", "--points=11"], None)])
-    def test_analytic_spectrum(self, tmp_path, monkeypatch, lines):
-        assert_contract(tmp_path, monkeypatch, lines)
+    @settings(contract_settings, max_examples=150)
+    @given(line=command_line("spectrum", MOSTLY_ANY))
+    @example(line=("any", ["spectrum", "--a0=1.0", "--omega0=10.0", "--tau=2.0", "--omega-min=-1e+308",
+                           "--omega-max=-1e+307", "--points=3"], None))
+    @example(line=("any", ["spectrum", "--a0=1.0", "--omega0=1e+300", "--tau=1e-300", "--omega-min=4.0",
+                           "--omega-max=16.0", "--points=11"], None))
+    @example(line=("any", ["spectrum", "--a0=1.0", "--omega0=1e-300", "--tau=1e+300", "--omega-min=0.0",
+                           "--omega-max=1e-299", "--points=11"], None))
+    def test_analytic_spectrum(self, tmp_path, monkeypatch, line):
+        assert_contract(tmp_path, monkeypatch, line)
 
-    @settings(contract_settings, max_examples=80)
-    @given(lines=st.tuples(command_line("spectrum", ANY_KIND, sampled=True)))
-    @example(lines=[(["spectrum", "--input=../wave.csv", "--omega-min=4.0", "--omega-max=16.0", "--points=11"],
-                     ([-1.7e308, 1.7e308], [1.0, 1.0]))])
-    def test_sampled_spectrum(self, tmp_path, monkeypatch, lines):
-        assert_contract(tmp_path, monkeypatch, lines)
+    @settings(contract_settings, max_examples=150)
+    @given(line=command_line("spectrum", MOSTLY_ANY, sampled=True))
+    @example(line=("any", ["spectrum", "--input=../wave.csv", "--omega-min=4.0", "--omega-max=16.0", "--points=11"],
+                   ([-1.7e308, 1.7e308], [1.0, 1.0])))
+    def test_sampled_spectrum(self, tmp_path, monkeypatch, line):
+        assert_contract(tmp_path, monkeypatch, line)
 
-    @settings(contract_settings, max_examples=60)
-    @given(lines=scalar_lines(FAILING))
-    def test_scalar_commands(self, tmp_path, monkeypatch, lines):
-        assert_contract(tmp_path, monkeypatch, lines)
+    @settings(contract_settings, max_examples=200)
+    @given(line=st.one_of(*(command_line(command, MOSTLY_ANY) for command in SCALAR_COMMANDS)))
+    def test_scalar_commands(self, tmp_path, monkeypatch, line):
+        assert_contract(tmp_path, monkeypatch, line)
 
     @pytest.mark.parametrize("argv,text,code", LEAKS.values(), ids=list(LEAKS))
     def test_warnings_as_errors(self, capsys, tmp_path, argv, text, code):
@@ -1607,18 +1613,19 @@ class TestReproducibility:
         assert_config_round_trips(argv)
 
     @settings(contract_settings, max_examples=70)
-    @given(lines=scalar_lines(TAKEN))
+    @given(lines=st.tuples(*(command_line(command, ("taken",)) for command in SCALAR_COMMANDS)))
     def test_any_command_config_round_trips(self, tmp_path, monkeypatch, lines):
-        """Lines of values a run takes, most of which succeed, so that their round trips count."""
-        assert_contract(tmp_path, monkeypatch, lines)
+        """A line of each scalar command, of values a run takes, so that most round trips count."""
+        for line in lines:
+            assert_contract(tmp_path, monkeypatch, line)
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
 
 
 class TestEmitProperties:
-    @settings(contract_settings, max_examples=60)
-    @given(lines=st.tuples(command_line("spectrum", TAKEN, sampled=False)))
-    def test_csv_and_json_agree_and_config_reproduces(self, tmp_path, monkeypatch, lines):
+    @settings(contract_settings, max_examples=40)
+    @given(line=command_line("spectrum", ("taken",)))
+    def test_csv_and_json_agree_and_config_reproduces(self, tmp_path, monkeypatch, line):
         """Analytic spectra of values a run takes: the CSV twin of each holds the JSON numbers."""
-        assert_contract(tmp_path, monkeypatch, lines)
+        assert_contract(tmp_path, monkeypatch, line)
